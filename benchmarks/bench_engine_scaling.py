@@ -60,7 +60,7 @@ from repro.dem import DetectorErrorModel
 from repro.noise import BASELINE_HARDWARE, ErrorModel
 from repro.report import ascii_table
 from repro.sim import run_memory_experiment, shot_blocks
-from repro.sim.engine import make_sampler
+from repro.sim.engine import accumulate_decode_stats, make_sampler
 from repro.surface_code import baseline_memory_circuit
 
 DISTANCES = (5, 7)
@@ -152,11 +152,12 @@ def _baseline_decode_rate(decoder, dets: np.ndarray) -> float:
 
 def _tiered_decode_rate(decoder, dets: np.ndarray) -> tuple[float, dict]:
     """Tiered decode_batch over the same chunks; returns rate and tiers."""
+    stats: dict[str, int] = {}
     start = time.perf_counter()
     for lo in range(0, dets.shape[0], DECODE_CHUNK):
         decoder.decode_batch(dets[lo : lo + DECODE_CHUNK])
+        accumulate_decode_stats(stats, decoder.last_batch_stats)
     elapsed = time.perf_counter() - start
-    stats = dict(decoder.tier_counts)
     # Guard against silent misrouting: every unique syndrome must land in
     # exactly one tier.
     assert sum(stats[t] for t in TIER_NAMES) == stats["unique"], stats

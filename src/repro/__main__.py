@@ -733,7 +733,6 @@ def _cmd_serve(args) -> int:
         fault=args.chaos,
         job_timeout=args.job_timeout,
         breaker_threshold=args.breaker_threshold,
-        chunk_size=args.chunk_size,
         verbose=args.verbose,
     )
 
@@ -988,7 +987,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--breaker-threshold", type=_positive_int, default=3,
                        help="failed runs of one spec before its circuit "
                             "breaker opens (submissions get 409)")
-    serve.add_argument("--chunk-size", type=_positive_int, default=None)
     serve.add_argument("--block-timeout", type=_positive_float, default=300.0,
                        metavar="SECONDS")
     serve.add_argument("--max-attempts", type=_positive_int, default=3)

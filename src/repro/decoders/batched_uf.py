@@ -52,22 +52,25 @@ Per lockstep iteration:
    retired root can never become a root again — which is what lets
    parity live only at root slots.
 
-All working arrays are allocated once per kernel and reused across calls
-(``growth`` is int16, rates and parities int8), and every full-width
-pass is an ``out=``-targeted ufunc: the kernel's steady-state allocation
-rate is ~zero, which matters because numpy routes MB-sized temporaries
-through mmap and the page-fault churn costs more than the arithmetic.
+The per-shot state arrays are allocated once per kernel and reused
+across calls (``growth`` is int16, parities int8), and every full-width
+pass over them is an ``out=``-targeted ufunc; the per-round entry lists
+are sized by the live cluster surface.  The kernel's steady-state
+allocation of MB-sized arrays is therefore ~zero, which matters because
+numpy routes MB-sized temporaries through mmap and the page-fault churn
+costs more than the arithmetic.
 
 **Determinism contract.**  The support returned per shot is identical
-to the flat decoder's (both realize the unit-step growth trajectory —
-the internal-edge rating only subdivides the exact path's jumps, never
-changes any cluster's growth or merge round; ``traces`` mode runs the
-exact full-width loop and the regression tests pin it round by round),
-and peeling *is* the flat decoder's canonical ``_peel`` — sorted support
-edges, boundary-first roots — called per shot on its typically tiny
-support.  Corrections are therefore bit-identical to per-shot flat
-decoding, which keeps every pinned ledger, bench count, and resume
-contract unchanged.
+to the flat decoder's: both realize the unit-step growth trajectory, and
+the regression tests pin the kernel's support against both the
+independent unit-step reference and the flat decoder's ``_grow`` on hand
+graphs and random batches.  The kernel keeps no per-round trace;
+round-by-round trace pins exist only for the flat decoder
+(``tests/test_decoders.py``).  Peeling *is* the flat decoder's canonical
+``_peel`` — sorted support edges, boundary-first roots — called per shot
+on its typically tiny support.  Corrections are therefore bit-identical
+to per-shot flat decoding, which keeps every pinned ledger, bench count,
+and resume contract unchanged.
 """
 
 from __future__ import annotations
@@ -81,15 +84,11 @@ from repro import obs
 __all__ = ["BatchedUnionFind", "DEFAULT_LOCKSTEP"]
 
 #: Shots grown per lockstep sub-batch.  Bounds the kernel's working set
-#: (the preallocated ``(lockstep, n_edges)`` buffer pool is ~15 MB at
-#: d=7) while keeping the vectorized passes wide enough to amortize
-#: numpy dispatch.
+#: (the preallocated buffer pool is ~3 MB at d=7) while keeping the
+#: vectorized passes wide enough to amortize numpy dispatch.
 DEFAULT_LOCKSTEP = 512
 
 _MAX_GROWTH_ROUNDS = 1_000_000
-#: int16 sentinel for "no frontier edge here" (exact path only); real
-#: ``need`` values are bounded by the discretized edge length.
-_NO_FRONTIER = np.int16(32767)
 #: Largest edge length the int16 growth state supports: growth can
 #: overshoot its length by at most ``2 * max_length`` in the final jump.
 _MAX_LENGTH = 10922
@@ -170,28 +169,15 @@ class BatchedUnionFind:
         self._complete = np.empty(shape_e, bool)
         self._surf = np.empty(shape_n, np.int8)
         self._unit_round = np.empty(rows, np.int32)
-        # Gather/scratch buffers, one per hot pass.
-        self._au = np.empty(shape_e, np.int8)
-        self._av = np.empty(shape_e, np.int8)
-        self._rate = np.empty(shape_e, np.int8)
-        self._ru = np.empty(shape_e, np.int32)
-        self._rv = np.empty(shape_e, np.int32)
-        self._need = np.empty(shape_e, np.int16)
-        self._t16 = np.empty(shape_e, np.int16)
-        self._b1 = np.empty(shape_e, bool)
-        self._b2 = np.empty(shape_e, bool)
-        self._ixn = np.empty(shape_n, np.int32)
+        # Pointer-jumping scratch for the merge's recompression pass.
         self._hop = np.empty(shape_n, np.int32)
         self._beq = np.empty(shape_n, bool)
         # Flat-index bases: buffer row r of a (rows, n1) array starts at
-        # flat offset r*n1, so ``row_off + node`` gathers straight out of
-        # the raveled buffer with no 2-D advanced indexing.
+        # flat offset r*n1, so ``row_off + node`` is a node's global flat
+        # coordinate in the raveled buffers.
         self._row_off = (np.arange(rows, dtype=np.int32) * n1)[:, None]
-        self._idx_u = self.edge_u[None, :] + self._row_off
-        self._idx_v = self.edge_v[None, :] + self._row_off
         # Raveled views for flat takes/scatters (share the buffers above).
         self._pflat = self._parent.reshape(-1)
-        self._ixnflat = self._ixn.reshape(-1)
         self._parflat = self._par.reshape(-1)
         self._bndflat = self._bnd.reshape(-1)
         self._actflat = self._act.reshape(-1)
@@ -257,28 +243,20 @@ class BatchedUnionFind:
         return predictions
 
     # ------------------------------------------------------------------
-    def grow_batch(
-        self, dets: np.ndarray, traces: list[list] | None = None
-    ) -> np.ndarray:
+    def grow_batch(self, dets: np.ndarray) -> np.ndarray:
         """Grow all shots of one sub-batch; returns a (shots, edges) support mask.
 
-        ``traces``, when given, must hold one list per shot; each live
-        shot appends one ``(unit_round, {edge: growth})`` entry per
-        completion round in unit-round numbering — the same format the
-        flat decoder and the unit-step reference emit, so the regression
-        tests can pin all three against each other.  Tracing runs the
-        exact full-width loop (internal edges masked at rating time, as
-        in the flat decoder); the default path rates internal edges too
-        and filters them at completion time, which subdivides some jumps
-        but returns the identical support.
+        Each row's support equals the flat decoder's ``_grow`` support
+        and the unit-step reference's; the tests pin the kernel by that
+        support equality.  No per-round trace is kept — round-by-round
+        trace pins exist only for the flat decoder
+        (``tests/test_decoders.py``).
         """
         dets = np.asarray(dets, dtype=bool)
         if dets.ndim != 2 or dets.shape[1] != self.num_detectors:
             raise ValueError(
                 f"expected (shots, {self.num_detectors}) syndromes, got {dets.shape}"
             )
-        if traces is not None:
-            return self._grow_exact(dets, traces)
         return self._grow_fast(dets)
 
     # ------------------------------------------------------------------
@@ -311,7 +289,6 @@ class BatchedUnionFind:
         self._init_state(dets, live_ids)
 
         len16 = self._len16
-        eu, ev = self.edge_u, self.edge_v
         parent, pflat = self._parent, self._pflat
         par, bnd, act, nact = self._par, self._bnd, self._act, self._nact
         parflat, bndflat = self._parflat, self._bndflat
@@ -497,148 +474,6 @@ class BatchedUnionFind:
             if self._beq[:a].all():
                 break
             parent[:a] = self._hop[:a]
-
-    # ------------------------------------------------------------------
-    def _hook_and_compress(
-        self, a: int, base: np.ndarray, end_u: np.ndarray, end_v: np.ndarray
-    ) -> None:
-        """Union across completed edges by iterated min-root hooking.
-
-        Hook the larger root under the smaller, recompress all rows by
-        pointer jumping, repeat until no completed edge spans two roots —
-        lost writes (two merges sharing a root in one pass) are
-        re-detected next pass, and min-hooking keeps parent pointers
-        non-increasing, hence acyclic.
-        """
-        pflat, parent = self._pflat, self._parent
-        su = base + end_u
-        sv = base + end_v
-        while True:
-            root_a = pflat[su]
-            root_b = pflat[sv]
-            unmerged = root_a != root_b
-            if not unmerged.any():
-                return
-            low = np.minimum(root_a, root_b)[unmerged]
-            high = np.maximum(root_a, root_b)[unmerged]
-            pflat[base[unmerged] + high] = low
-            while True:
-                np.add(parent[:a], self._row_off[:a], out=self._ixn[:a])
-                np.take(pflat, self._ixn[:a], out=self._hop[:a], mode="clip")
-                np.equal(self._hop[:a], parent[:a], out=self._beq[:a])
-                if self._beq[:a].all():
-                    break
-                parent[:a] = self._hop[:a]
-
-    # ------------------------------------------------------------------
-    def _grow_exact(self, dets: np.ndarray, traces: list[list]) -> np.ndarray:
-        """Full-width lockstep growth with internal edges masked at
-        rating time — the flat decoder's rating rule verbatim, used for
-        round-by-round trace pinning (every live shot appends one trace
-        entry per completion round, exactly like the flat decoder)."""
-        batch, n = dets.shape
-        n1 = n + 1
-        num_edges = len(self._len16)
-        lengths = self._len16[None, :]
-        support = np.zeros((batch, num_edges), dtype=bool)
-
-        live_ids = np.flatnonzero(dets.any(axis=1))
-        a = live_ids.size
-        if a == 0:
-            return support
-        self._ensure(a)
-        self._init_state(dets, live_ids)
-
-        len16 = self._len16
-        eu, ev = self.edge_u, self.edge_v
-        parent, pflat = self._parent, self._pflat
-        par, bnd, act = self._par, self._bnd, self._act
-        parflat, bndflat, actflat = self._parflat, self._bndflat, self._actflat
-        growth, complete = self._growth, self._complete
-        unit_round = self._unit_round
-        ru, rv, au, av = self._ru, self._rv, self._au, self._av
-        rate, need, t16 = self._rate, self._need, self._t16
-        b1, b2 = self._b1, self._b2
-        row_off = self._row_off
-
-        while True:
-            np.subtract(1, bnd[:a], out=act[:a])
-            np.multiply(act[:a], par[:a], out=act[:a])
-            alive = act[:a].any(axis=1)
-            if not alive.all():
-                done = ~alive
-                support[live_ids[done]] = complete[:a][done]
-                keep = np.flatnonzero(alive)
-                a = keep.size
-                if a == 0:
-                    return support
-                for buf in (parent, par, bnd, act, growth, complete):
-                    buf[:a] = buf[: alive.size][keep]
-                unit_round[:a] = unit_round[: alive.size][keep]
-                live_ids = live_ids[keep]
-
-            # Endpoint roots and their activity; internal (same-root) and
-            # completed edges are masked to rate 0, exactly as in the
-            # flat decoder's pass 1.
-            np.take(pflat, self._idx_u[:a], out=ru[:a], mode="clip")
-            np.take(pflat, self._idx_v[:a], out=rv[:a], mode="clip")
-            np.add(ru[:a], row_off[:a], out=ru[:a])
-            np.add(rv[:a], row_off[:a], out=rv[:a])
-            np.take(actflat, ru[:a], out=au[:a], mode="clip")
-            np.take(actflat, rv[:a], out=av[:a], mode="clip")
-            np.add(au[:a], av[:a], out=rate[:a])
-            np.equal(ru[:a], rv[:a], out=b1[:a])
-            np.copyto(rate[:a], np.int8(0), where=b1[:a])
-            np.copyto(rate[:a], np.int8(0), where=complete[:a])
-
-            # Per-shot completion jump: k = min over the shot's frontier
-            # of ceil(remaining / rate); k unit rounds collapse into one.
-            np.subtract(lengths, growth[:a], out=need[:a])
-            np.add(need[:a], np.int16(1), out=t16[:a])
-            np.right_shift(t16[:a], 1, out=t16[:a])
-            np.equal(rate[:a], np.int8(2), out=b2[:a])
-            np.copyto(need[:a], t16[:a], where=b2[:a])
-            np.equal(rate[:a], np.int8(0), out=b2[:a])
-            np.copyto(need[:a], _NO_FRONTIER, where=b2[:a])
-            k = need[:a].min(axis=1)
-            if (k == _NO_FRONTIER).any():
-                raise RuntimeError("union-find growth failed to terminate")
-            np.add(unit_round[:a], k, out=unit_round[:a])
-            if int(unit_round[:a].max()) > _MAX_GROWTH_ROUNDS:  # pragma: no cover
-                raise RuntimeError("union-find growth failed to terminate")
-
-            np.multiply(rate[:a], k[:, None], out=t16[:a])
-            np.add(growth[:a], t16[:a], out=growth[:a])
-            np.greater_equal(growth[:a], len16, out=b1[:a])
-            np.logical_not(complete[:a], out=b2[:a])
-            np.logical_and(b1[:a], b2[:a], out=b1[:a])  # newly completed
-            np.logical_or(complete[:a], b1[:a], out=complete[:a])
-            for i in range(a):
-                edges = np.flatnonzero(rate[i] > 0)
-                traces[live_ids[i]].append(
-                    (
-                        int(unit_round[i]),
-                        {int(e): int(growth[i, e]) for e in edges},
-                    )
-                )
-
-            # Merge across every newly completed edge (every live shot
-            # completes at least one); parity bookkeeping as in the fast
-            # path.  All completions are genuine here — internal edges
-            # were never rated.
-            shot_idx, edge_idx = np.nonzero(b1[:a])
-            base = shot_idx * n1
-            root_a = pflat[base + eu[edge_idx]]
-            root_b = pflat[base + ev[edge_idx]]
-            roots_flat = np.unique(np.concatenate([base + root_a, base + root_b]))
-            vals_par = parflat[roots_flat]
-            vals_bnd = bndflat[roots_flat]
-            parflat[roots_flat] = 0
-            bndflat[roots_flat] = 0
-            self._hook_and_compress(a, base, eu[edge_idx], ev[edge_idx])
-            new_roots = roots_flat - (roots_flat % n1) + pflat[roots_flat]
-            np.bitwise_xor.at(parflat, new_roots, vals_par)
-            np.bitwise_or.at(bndflat, new_roots, vals_bnd)
 
     # ------------------------------------------------------------------
     def _peel_batch(self, dets: np.ndarray, support: np.ndarray) -> np.ndarray:

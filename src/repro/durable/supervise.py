@@ -50,8 +50,10 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import os
 import queue as queue_mod
 import signal
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -119,7 +121,29 @@ class SupervisedResult:
     aborted: bool = False
 
 
-def _worker_main(wid: int, task_q, result_q) -> None:
+#: Seconds between a worker's checks that the process which started it
+#: is still alive.
+_PARENT_POLL_S = 1.0
+
+
+def _exit_when_orphaned(owner: int) -> None:
+    """Worker watchdog: hard-exit once the fleet owner ``owner`` is gone.
+
+    The owner is the worker's parent (fork and spawn start methods), so
+    its death shows as a reparenting.  A SIGKILLed owner never sends the
+    shutdown sentinel, and it can die halfway through writing a message,
+    leaving the worker blocked in a pipe read that never completes (the
+    worker holds the queue's write end itself, so no EOF arrives).  The
+    check therefore runs in its own thread rather than between messages.
+    The owner's pid is passed in rather than read at worker start, so an
+    owner killed before the worker ran its first line is noticed too.
+    """
+    while os.getppid() == owner:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(0)
+
+
+def _worker_main(wid: int, task_q, result_q, owner: int) -> None:
     """Worker loop: serve ``cfg``/``task`` messages until the None sentinel.
 
     A ``("cfg", epoch, worker_args, fault)`` message (re)arms the worker
@@ -127,7 +151,9 @@ def _worker_main(wid: int, task_q, result_q) -> None:
     dropped (they belong to a unit the supervisor already finished or
     abandoned).  Failures are reported in-band; a genuinely dying worker
     (injected ``os._exit`` or a real crash) is detected by the parent's
-    liveness check instead.
+    liveness check instead.  Conversely, a worker whose parent died
+    without sending the sentinel (SIGKILL) exits within
+    ``_PARENT_POLL_S`` (see :func:`_exit_when_orphaned`).
     """
     # Forked workers inherit the parent's graceful-interrupt handlers,
     # under which SIGTERM merely requests a stop — so the supervisor's
@@ -136,6 +162,9 @@ def _worker_main(wid: int, task_q, result_q) -> None:
     # signals the whole process group; the parent drains us instead).
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_when_orphaned, args=(owner,), daemon=True
+    ).start()
     epoch = None
     sampler = decoder = basis_ids = obs_ids = fault = None
     while True:
@@ -224,7 +253,7 @@ class WorkerFleet:
         task_q = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, task_q, self.result_q),
+            args=(wid, task_q, self.result_q, os.getpid()),
             daemon=True,
         )
         proc.start()

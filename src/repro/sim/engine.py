@@ -363,9 +363,6 @@ def accumulate_decode_stats(into: dict, stats: dict[str, int]) -> None:
     obs.merge_counts(into, stats)
 
 
-_accumulate_stats = accumulate_decode_stats
-
-
 def count_logical_errors(
     circuit: Circuit,
     decoder: SyndromeDecoder,
@@ -436,7 +433,7 @@ def count_logical_errors(
                 )
                 errors += chunk_errors
                 if decode_stats is not None:
-                    _accumulate_stats(decode_stats, stats)
+                    accumulate_decode_stats(decode_stats, stats)
         return errors
 
     reg = obs.active()
@@ -453,7 +450,7 @@ def count_logical_errors(
             ):
                 errors += chunk_errors
                 if decode_stats is not None:
-                    _accumulate_stats(decode_stats, stats)
+                    accumulate_decode_stats(decode_stats, stats)
                 if reg is not None and delta is not None:
                     reg.merge_snapshot(delta)
     return errors

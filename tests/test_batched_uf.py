@@ -1,14 +1,16 @@
-"""Batched lockstep union-find kernel: bit-identity and growth pinning.
+"""Batched lockstep union-find kernel: bit-identity and support pinning.
 
 The kernel's whole contract is that it is indistinguishable from calling
 the flat ``UnionFindDecoder`` per shot — same support, same canonical
 peel, same predictions, same failures.  These tests pin that from four
 directions: hypothesis-driven element-wise equality on both embeddings,
-round-by-round growth traces against the independent unit-step
-reference (including the shared-edge double-growth scenario on the hand
-graphs), exact corrections-equality on sampled d=3/5/7 syndromes at
-threshold, and the durable executor's graceful degradation when the
-batched tier raises mid-block.
+support equality against the independent unit-step reference and the
+flat decoder's ``_grow`` (hand graphs, including the shared-edge
+double-growth scenario, and a random batch), exact corrections-equality
+on sampled d=3/5/7 syndromes at threshold, and the durable executor's
+graceful degradation when the batched tier raises mid-block.
+Round-by-round growth traces are pinned for the flat decoder only
+(``tests/test_decoders.py``).
 """
 
 import numpy as np
@@ -163,75 +165,49 @@ class TestBatchedEqualsFlat:
             BatchedUnionFind(flat, lockstep=0)
 
 
-class TestGrowthTracePinning:
-    """The kernel's traced growth is the flat decoder's, round by round."""
+def _hand_cases():
+    tri = MatchingGraph(3, "Z")
+    tri.add_edge(0, 1, 0.01, 0)
+    tri.add_edge(1, 2, 0.01, 0)
+    tri.add_edge(0, 2, 0.01, 0)
+    tri.add_edge(2, tri.boundary, 0.01, 1)
+    line = line_graph()
+    return {
+        "line-0-2": (line, [0, 2]),
+        "line-1": (line, [1]),
+        "tri-0-1": (tri, [0, 1]),  # shared edge (0,1) grows from both sides
+        "tri-0-1-2": (tri, [0, 1, 2]),
+    }
 
-    def _hand_cases(self):
-        tri = MatchingGraph(3, "Z")
-        tri.add_edge(0, 1, 0.01, 0)
-        tri.add_edge(1, 2, 0.01, 0)
-        tri.add_edge(0, 2, 0.01, 0)
-        tri.add_edge(2, tri.boundary, 0.01, 1)
-        line = line_graph()
-        return [
-            (line, [0, 2]),
-            (line, [1]),
-            (tri, [0, 1]),
-            (tri, [0, 1, 2]),
-        ]
 
-    def test_traces_match_unit_step_reference(self):
-        for graph, events in self._hand_cases():
-            flat = UnionFindDecoder(graph)
-            kernel = BatchedUnionFind(flat)
+class TestGrowthSupportPinning:
+    """The kernel's support is the flat decoder's and the reference's."""
+
+    @pytest.mark.parametrize(
+        "case,resolution",
+        [(name, res) for res in (16, 1) for name in _hand_cases()]
+        + [("random-32", 16)],
+    )
+    def test_support_equals_references(
+        self, baseline_setup, case, resolution
+    ):
+        if case == "random-32":
+            _, _, flat = baseline_setup
+            rng = np.random.default_rng(11)
+            dets = rng.random((32, flat.graph.num_detectors)) < 0.25
+        else:
+            graph, events = _hand_cases()[case]
+            flat = UnionFindDecoder(graph, resolution=resolution)
             dets = _batch_from_events([set(events)], graph.num_detectors)
-            traces = [[] for _ in range(1)]
-            support = kernel.grow_batch(dets, traces=traces)
-            ref_trace, ref_support = reference_unit_step_growth(
-                graph, flat._len, events
+        support = BatchedUnionFind(flat).grow_batch(dets)
+        for row, kernel_support in zip(dets, support):
+            events = np.flatnonzero(row).tolist()
+            _, ref_support = reference_unit_step_growth(
+                flat.graph, flat._len, events
             )
-            ref_by_round = dict(ref_trace)
-            assert traces[0], events
-            for round_no, snapshot in traces[0]:
-                assert snapshot == ref_by_round[round_no], (events, round_no)
-            assert np.flatnonzero(support[0]).tolist() == ref_support, events
-
-    def test_traces_match_flat_decoder_traces(self):
-        for graph, events in self._hand_cases():
-            flat = UnionFindDecoder(graph)
-            kernel = BatchedUnionFind(flat)
-            flat_trace: list = []
-            flat._grow(events, trace=flat_trace)
-            dets = _batch_from_events([set(events)], graph.num_detectors)
-            traces = [[]]
-            kernel.grow_batch(dets, traces=traces)
-            assert traces[0] == flat_trace, events
-
-    def test_shared_edge_grows_once_per_cluster_per_round(self):
-        # Two clusters sharing edge (0,1): it must grow one unit per
-        # *side* per round (2 total), its single-sided neighbors one.
-        graph = self._hand_cases()[2][0]
-        flat = UnionFindDecoder(graph, resolution=1)
-        kernel = BatchedUnionFind(flat)
-        dets = _batch_from_events([{0, 1}], graph.num_detectors)
-        traces = [[]]
-        kernel.grow_batch(dets, traces=traces)
-        round_one = traces[0][0][1]
-        shared = graph._edge_index[(0, 1)]
-        assert round_one[shared] == 2
-        assert round_one[graph._edge_index[(0, 2)]] == 1
-        assert round_one[graph._edge_index[(1, 2)]] == 1
-
-    def test_fast_path_support_equals_exact_path_support(self, baseline_setup):
-        # The default (internal-edges-rated) path must return the same
-        # support set as the exact traced loop on random batches.
-        _, _, flat = baseline_setup
-        kernel = BatchedUnionFind(flat)
-        rng = np.random.default_rng(11)
-        dets = rng.random((32, flat.graph.num_detectors)) < 0.25
-        fast = kernel.grow_batch(dets)
-        traced = kernel.grow_batch(dets, traces=[[] for _ in range(32)])
-        np.testing.assert_array_equal(fast, traced)
+            got = np.flatnonzero(kernel_support).tolist()
+            assert got == ref_support, events
+            assert got == sorted(flat._grow(events)), events
 
 
 class TestDurableDegradation:

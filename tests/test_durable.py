@@ -11,6 +11,10 @@ block's result; and every corrupted-ledger case is either tolerated
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -721,6 +725,53 @@ class TestWorkerFleetReuse:
                 assert executor.total_retries > 0
             assert fleet.respawns > 0  # crashes really killed workers
             assert fleet.alive_workers() == 2  # ...and the fleet healed
+
+
+_FLEET_OWNER = """
+import json, time
+from repro.durable import WorkerFleet
+fleet = WorkerFleet(2)
+print(json.dumps(fleet.worker_pids()), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestWorkerFleetOrphans:
+    def test_workers_exit_when_owner_is_sigkilled(self):
+        # A SIGKILLed owner never sends the shutdown sentinel; its
+        # workers must notice the reparenting and exit on their own.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _FLEET_OWNER],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        pids: list[int] = []
+        try:
+            pids = json.loads(owner.stdout.readline())
+            assert len(pids) == 2 and all(_running(pid) for pid in pids)
+            owner.kill()
+            owner.wait(timeout=10.0)
+            deadline = time.monotonic() + 10.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_running, pids)), pids
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait(timeout=10.0)
+            owner.stdout.close()
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 def _run_with_fleet(path, fleet, *, fault=None, policy=FAST):
