@@ -49,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import merge_bench_json, shots
+from repro import obs
 from repro.decoders import (
     TIER_NAMES,
     LegacyUnionFindDecoder,
@@ -60,7 +61,7 @@ from repro.dem import DetectorErrorModel
 from repro.noise import BASELINE_HARDWARE, ErrorModel
 from repro.report import ascii_table
 from repro.sim import run_memory_experiment, shot_blocks
-from repro.sim.engine import accumulate_decode_stats, make_sampler
+from repro.sim.engine import make_sampler
 from repro.surface_code import baseline_memory_circuit
 
 DISTANCES = (5, 7)
@@ -156,7 +157,7 @@ def _tiered_decode_rate(decoder, dets: np.ndarray) -> tuple[float, dict]:
     start = time.perf_counter()
     for lo in range(0, dets.shape[0], DECODE_CHUNK):
         decoder.decode_batch(dets[lo : lo + DECODE_CHUNK])
-        accumulate_decode_stats(stats, decoder.last_batch_stats)
+        obs.merge_counts(stats, decoder.last_batch_stats)
     elapsed = time.perf_counter() - start
     # Guard against silent misrouting: every unique syndrome must land in
     # exactly one tier.
@@ -251,14 +252,14 @@ def test_engine_scaling(once):
             counts = {}
             for backend in BACKENDS:
                 for w in WORKER_COUNTS:
-                    decode_stats = {}
                     start = time.perf_counter()
                     # chunk_size=1024 -> one chunk per block, so every worker
                     # count gets at least `w` chunks at the default n=4096.
                     result = run_memory_experiment(
                         memory, shots=n, seed=0, workers=w, chunk_size=1024,
-                        backend=backend, decode_stats=decode_stats,
+                        backend=backend,
                     )
+                    decode_stats = result.decode_stats
                     end_to_end.append({
                         "distance": d,
                         "backend": backend,
@@ -288,12 +289,11 @@ def test_engine_scaling(once):
             below_memory = baseline_memory_circuit(
                 d, ErrorModel(hardware=BASELINE_HARDWARE, p=P_BELOW)
             )
-            decode_stats = {}
             start = time.perf_counter()
             result = run_memory_experiment(
                 below_memory, shots=n, seed=0, workers=1, chunk_size=1024,
-                decode_stats=decode_stats,
             )
+            decode_stats = result.decode_stats
             below.append({
                 "distance": d,
                 "p": P_BELOW,

@@ -17,9 +17,9 @@ which
 5. writes a ``unit`` summary reconciling
    ``completed + quarantined == scheduled``.
 
-**Determinism contract.**  Every block is executed with fresh decoder
-batch state (``run_block``), so its ``(errors, stats)`` is a pure
-function of ``(circuit, seed, block index)`` — which makes an
+**Determinism contract.**  ``run_block`` always clears the decoder's
+cross-batch state before a block, so every block's ``(errors, stats)``
+is a pure function of ``(circuit, seed, block index)`` — which makes an
 interrupted-and-resumed campaign *bit-identical* to an uninterrupted
 one: same block records, same unit totals, same Wilson intervals,
 regardless of workers, scheduling, crashes or retries.  (Durable stats
@@ -51,7 +51,7 @@ from repro import obs
 from repro.durable.faults import InjectedTornWrite
 from repro.durable.ledger import RunLedger
 from repro.durable.supervise import RetryPolicy, run_supervised
-from repro.sim.engine import accumulate_decode_stats, block_seeds, make_sampler
+from repro.sim.engine import block_seeds, make_sampler
 from repro.sim.stats import wilson_interval
 
 __all__ = [
@@ -174,10 +174,13 @@ class DurableExecutor:
         shots: int,
         seed: int | None,
         backend: str = "packed",
-        decode_stats: dict | None = None,
         sampler=None,
     ) -> UnitOutcome:
-        """Run one unit durably; returns its (possibly resumed) outcome."""
+        """Run one unit durably; returns its (possibly resumed) outcome.
+
+        The outcome's ``stats`` are the unit's decode-tier totals over
+        its completed blocks.
+        """
         if self._stop_requested:
             raise self._interrupted(unit, 0)
 
@@ -193,8 +196,6 @@ class DurableExecutor:
                     outcome.resumed_blocks, "resumed"
                 )
             self.units.append(outcome)
-            if decode_stats is not None:
-                accumulate_decode_stats(decode_stats, outcome.stats)
             return outcome
 
         blocks = block_seeds(shots, seed)
@@ -290,7 +291,7 @@ class DurableExecutor:
         unit_shots = sum(done[i]["shots"] for i in completed)
         stats: dict = {}
         for i in completed:
-            accumulate_decode_stats(stats, done[i]["stats"])
+            obs.merge_counts(stats, done[i]["stats"])
         self.ledger.record_unit(
             unit,
             scheduled=len(decided),
@@ -313,8 +314,6 @@ class DurableExecutor:
             stopped_early=stopped_early,
         )
         self.units.append(outcome)
-        if decode_stats is not None:
-            accumulate_decode_stats(decode_stats, stats)
         return outcome
 
     def _outcome_from_summary(
@@ -322,7 +321,7 @@ class DurableExecutor:
     ) -> UnitOutcome:
         stats: dict = {}
         for index in summary["completed"]:
-            accumulate_decode_stats(stats, prior[index]["stats"])
+            obs.merge_counts(stats, prior[index]["stats"])
         return UnitOutcome(
             unit=unit,
             errors=summary["errors"],

@@ -570,10 +570,7 @@ class _PoolSupervisor:
         self.handled.add((index, attempt))
         shots, _ = self.by_index[index]
         if kind == "ok":
-            # Late-added payload element: the worker's metrics delta (old
-            # 7-tuple messages from test fakes simply omit it).
-            errors, stats, *extra = payload
-            delta = extra[0] if extra else None
+            errors, stats, delta = payload
             reg = obs.active()
             if reg is not None and delta is not None:
                 reg.merge_snapshot(delta)

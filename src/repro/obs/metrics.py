@@ -21,9 +21,8 @@ Design constraints (see EXPERIMENTS.md "Observability"):
   to a service payload, or write to ``metrics.json``.
 
 The single stats-merge implementation for the whole repo lives here as
-:func:`merge_counts`; ``sim.engine.accumulate_decode_stats`` (used by the
-engine, campaigns, threshold estimation, and sensitivity sweeps) delegates
-to it.
+:func:`merge_counts`: the engine, the durable executor, campaigns,
+threshold estimation and sensitivity sweeps sum decode-tier stats with it.
 """
 
 from __future__ import annotations
@@ -60,8 +59,9 @@ def merge_counts(into: dict, stats: Mapping) -> dict:
     """Accumulate numeric per-key counts of ``stats`` into ``into``.
 
     The one merge implementation shared by decode-stats accumulation
-    (engine / campaign / threshold / sensitivity) and metric snapshot
-    merging.  Missing keys are created; ``into`` is returned for chaining.
+    (engine / durable executor / campaign / threshold / sensitivity) and
+    metric snapshot merging.  Missing keys are created; ``into`` is
+    returned for chaining.
     """
     for key, value in stats.items():
         into[key] = into.get(key, 0) + value

@@ -6,7 +6,6 @@ from repro.sim.engine import (
     BlockExecutionError,
     DEFAULT_CHUNK_SIZE,
     SHOT_BLOCK,
-    accumulate_decode_stats,
     block_seeds,
     count_logical_errors,
     decode_block_full,
@@ -36,7 +35,6 @@ __all__ = [
     "FrameSimulator",
     "LogicalErrorResult",
     "SHOT_BLOCK",
-    "accumulate_decode_stats",
     "block_seeds",
     "compile_circuit",
     "count_logical_errors",

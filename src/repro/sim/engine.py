@@ -51,7 +51,6 @@ __all__ = [
     "BlockExecutionError",
     "DEFAULT_CHUNK_SIZE",
     "SHOT_BLOCK",
-    "accumulate_decode_stats",
     "block_seeds",
     "count_logical_errors",
     "decode_block_full",
@@ -262,16 +261,15 @@ def run_block(
     block_shots: int,
     seed: np.random.SeedSequence,
     *,
-    fresh_decoder_state: bool = True,
     fault=None,
     unit: str = "",
 ) -> tuple[int, dict[str, int]]:
     """Sample, decode and score ONE shot block — the durable unit of work.
 
-    With ``fresh_decoder_state`` (the default) the decoder's cross-batch
-    LRU is cleared first, so the returned ``(errors, stats)`` pair is a
-    pure function of ``(sampler, seed, index)`` — bit-identical no matter
-    which worker runs the block, in what order, or after which others.
+    The decoder's cross-batch LRU is always cleared first, so the
+    returned ``(errors, stats)`` pair is a pure function of
+    ``(sampler, seed, index)`` — bit-identical no matter which worker
+    runs the block, in what order, or after which others.
     That purity is what makes checkpointed results safe to resume from
     and byte-comparable across interrupted and uninterrupted runs.
 
@@ -283,8 +281,7 @@ def run_block(
     """
     reg = obs.active()
     t0 = perf_counter() if reg is not None else 0.0
-    if fresh_decoder_state:
-        decoder.reset_batch_state()
+    decoder.reset_batch_state()
     try:
         data = sampler.sample(block_shots, seed)
         dets = data.detectors[:, basis_ids]
@@ -350,19 +347,6 @@ def _run_chunk_in_worker(blocks) -> tuple[int, dict[str, int], dict | None]:
     return errors, stats, obs.snapshot_delta(reg.snapshot(), before)
 
 
-def accumulate_decode_stats(into: dict, stats: dict[str, int]) -> None:
-    """Sum one decode-tier stats dict into an accumulator in place.
-
-    The shared convention for tier accounting across chunks, workers,
-    circuits of a campaign, and points of a sweep: plain per-key sums,
-    so ``sum(into[t] for t in TIER_NAMES) == into["unique"]`` holds for
-    any aggregate whose parts each satisfy it.  Delegates to
-    ``repro.obs.merge_counts`` — the one merge implementation shared with
-    metric snapshot merging.
-    """
-    obs.merge_counts(into, stats)
-
-
 def count_logical_errors(
     circuit: Circuit,
     decoder: SyndromeDecoder,
@@ -373,10 +357,20 @@ def count_logical_errors(
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     backend: str = "packed",
-    decode_stats: dict | None = None,
     sampler=None,
-) -> int:
+) -> tuple[int, dict[str, int]]:
     """Count shots whose decoded prediction disagrees with the truth.
+
+    Returns ``(errors, stats)``: the logical-error count and the
+    decode-tier occupancy (``trivial``/``weight1``/``weight2``/
+    ``cached``/``batched``/``full`` plus ``unique``, ``shots`` and the
+    raw LRU counter deltas ``lru_hits``/``lru_misses``) summed over every
+    chunk and worker with ``repro.obs.merge_counts``.  Per
+    ``decode_batch``'s contract the tier counts of each chunk sum to its
+    unique-syndrome count, so the sum identity holds for the total too.
+    ``unique``/``cached`` are per-chunk notions: a syndrome occurring in
+    two chunks counts as unique in both, and as ``cached`` in the second
+    only via the decoder's cross-batch LRU (per worker process).
 
     Parameters
     ----------
@@ -391,18 +385,6 @@ def count_logical_errors(
         deterministic and worker/chunk-invariant, but they define
         different canonical random streams, so counts agree across
         backends statistically rather than bitwise.
-    decode_stats:
-        Optional dict that accumulates per-chunk decode-tier occupancy
-        (``trivial``/``weight1``/``weight2``/``cached``/``batched``/
-        ``full`` plus ``unique``, ``shots`` and the raw LRU counter
-        deltas ``lru_hits``/``lru_misses``) summed over every chunk and
-        worker.
-        Per ``decode_batch``'s contract the tier counts of each chunk sum
-        to its unique-syndrome count; the engine-scaling bench asserts
-        the aggregate identity.  Note that ``unique``/``cached`` are
-        per-chunk notions: a syndrome occurring in two chunks counts as
-        unique in both, and as ``cached`` in the second only via the
-        decoder's cross-batch LRU (per worker process).
     sampler:
         Optional pre-built sampler (the object :func:`make_sampler`
         returns for this ``circuit``/``backend``), so multi-circuit
@@ -425,6 +407,7 @@ def count_logical_errors(
     chunks = [blocks[i : i + per_chunk] for i in range(0, len(blocks), per_chunk)]
 
     errors = 0
+    totals: dict[str, int] = {}
     if workers == 1 or len(chunks) == 1:
         with obs.span("engine.count", shots=shots, workers=1, backend=backend):
             for chunk in chunks:
@@ -432,9 +415,8 @@ def count_logical_errors(
                     sampler, decoder, basis_ids, obs_ids, chunk
                 )
                 errors += chunk_errors
-                if decode_stats is not None:
-                    accumulate_decode_stats(decode_stats, stats)
-        return errors
+                obs.merge_counts(totals, stats)
+        return errors, totals
 
     reg = obs.active()
     ctx = multiprocessing.get_context()
@@ -449,8 +431,7 @@ def count_logical_errors(
                 _run_chunk_in_worker, chunks
             ):
                 errors += chunk_errors
-                if decode_stats is not None:
-                    accumulate_decode_stats(decode_stats, stats)
+                obs.merge_counts(totals, stats)
                 if reg is not None and delta is not None:
                     reg.merge_snapshot(delta)
-    return errors
+    return errors, totals

@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.decoders import MatchingGraph, SyndromeDecoder, make_decoder
 from repro.dem import DetectorErrorModel
-from repro.sim.engine import (
-    DEFAULT_CHUNK_SIZE,
-    accumulate_decode_stats,
-    count_logical_errors,
-)
+from repro.sim.engine import DEFAULT_CHUNK_SIZE, count_logical_errors
 from repro.sim.stats import wilson_interval
 from repro.surface_code.extraction import MemoryCircuit
 
@@ -107,7 +103,6 @@ def run_memory_experiment(
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     backend: str = "packed",
-    decode_stats: dict | None = None,
     executor=None,
     unit: str = "memory",
 ) -> LogicalErrorResult:
@@ -131,14 +126,6 @@ def run_memory_experiment(
         Sampling backend: ``"packed"`` (compiled bit-plane simulator,
         default) or ``"reference"`` (bool-array per-instruction
         simulator).  Each backend has its own canonical random stream.
-    decode_stats:
-        Optional dict accumulating decode-tier occupancy over all chunks
-        (see :func:`repro.sim.engine.count_logical_errors`).  The stats
-        are always collected and attached to the result's
-        ``decode_stats`` field (a fresh dict per run); passing a dict
-        here additionally accumulates this run's stats into it, so
-        callers can sum across several runs without aliasing any single
-        result's per-run record.
     executor:
         Optional durable executor (``repro.durable.DurableExecutor``,
         duck-typed via its ``count`` method).  When given, the run is
@@ -149,7 +136,6 @@ def run_memory_experiment(
         "Durability & determinism contract").
     """
     setup = prepare_decoding(memory, decoder)
-    stats: dict = {}
     if executor is not None:
         outcome = executor.count(
             unit=unit,
@@ -160,11 +146,10 @@ def run_memory_experiment(
             shots=shots,
             seed=seed,
             backend=backend,
-            decode_stats=stats,
         )
-        errors, shots = outcome.errors, outcome.shots
+        errors, shots, stats = outcome.errors, outcome.shots, outcome.stats
     else:
-        errors = count_logical_errors(
+        errors, stats = count_logical_errors(
             memory.circuit,
             setup.decoder,
             setup.basis_detectors,
@@ -174,10 +159,7 @@ def run_memory_experiment(
             workers=workers,
             chunk_size=chunk_size,
             backend=backend,
-            decode_stats=stats,
         )
-    if decode_stats is not None:
-        accumulate_decode_stats(decode_stats, stats)
     return LogicalErrorResult(
         scheme=memory.scheme,
         basis=memory.basis,

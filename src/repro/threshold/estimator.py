@@ -13,14 +13,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro import obs
 from repro.arch import compact_memory_circuit, natural_memory_circuit
 from repro.noise import BASELINE_HARDWARE, MEMORY_HARDWARE, ErrorModel, HardwareParams
-from repro.sim import (
-    DEFAULT_CHUNK_SIZE,
-    LogicalErrorResult,
-    accumulate_decode_stats,
-    run_memory_experiment,
-)
+from repro.sim import DEFAULT_CHUNK_SIZE, LogicalErrorResult, run_memory_experiment
 from repro.surface_code import baseline_memory_circuit
 from repro.surface_code.extraction import MemoryCircuit
 
@@ -251,7 +247,7 @@ def estimate_threshold(
                 executor=executor,
                 unit=f"{scheme}/d{d}/p{i}",
             )
-            accumulate_decode_stats(study.decode_stats, result.decode_stats)
+            obs.merge_counts(study.decode_stats, result.decode_stats)
             row.append(result)
         study.results[d] = row
     return study

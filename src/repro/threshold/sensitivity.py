@@ -24,8 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.noise import MEMORY_HARDWARE, REFERENCE_PHYSICAL_ERROR, ErrorModel
-from repro.sim import DEFAULT_CHUNK_SIZE, accumulate_decode_stats, run_memory_experiment
+from repro.sim import DEFAULT_CHUNK_SIZE, run_memory_experiment
 from repro.threshold.estimator import build_memory_circuit
 
 __all__ = [
@@ -170,7 +171,7 @@ def run_sensitivity_panel(
                 chunk_size=chunk_size,
                 backend=backend,
             )
-            accumulate_decode_stats(out.decode_stats, result.decode_stats)
+            obs.merge_counts(out.decode_stats, result.decode_stats)
             rates.append(result.logical_error_rate)
         out.rates[d] = rates
     return out

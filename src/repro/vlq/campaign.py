@@ -57,7 +57,6 @@ from repro.noise import MEMORY_HARDWARE, REFERENCE_PHYSICAL_ERROR, ErrorModel
 from repro.sim import (
     DEFAULT_CHUNK_SIZE,
     LogicalErrorResult,
-    accumulate_decode_stats,
     count_logical_errors,
     make_sampler,
     prepare_decoding,
@@ -330,8 +329,56 @@ def run_program_experiment(
         refresh=(refresh == "dram"),
     )
 
-    per_qubit: list[QubitExperiment] = []
     decode_totals: dict = {}
+    label_prefix = f"{machine.embedding}/{refresh}/d{machine.distance}/"
+
+    def run_unit(kind, label, memory, sampler, setup, unit_seed, **span_args):
+        """One Monte-Carlo unit (a qubit's memory or a surgery pair's
+        merged patch), plain or durable; its stats join the totals."""
+        unit_t0 = perf_counter() if obs.enabled() else 0.0
+        with obs.span("campaign.unit", kind=kind, **span_args):
+            if executor is not None:
+                outcome = executor.count(
+                    unit=label_prefix + label,
+                    circuit=memory.circuit,
+                    decoder=setup.decoder,
+                    basis_ids=setup.basis_detectors,
+                    obs_ids=setup.basis_observables,
+                    shots=shots,
+                    seed=unit_seed,
+                    backend=backend,
+                    sampler=sampler,
+                )
+                errors, unit_shots, stats = outcome.errors, outcome.shots, outcome.stats
+            else:
+                unit_shots = shots
+                errors, stats = count_logical_errors(
+                    memory.circuit,
+                    setup.decoder,
+                    setup.basis_detectors,
+                    setup.basis_observables,
+                    shots,
+                    seed=unit_seed,
+                    workers=workers,
+                    chunk_size=chunk_size,
+                    backend=backend,
+                    sampler=sampler,
+                )
+        obs.merge_counts(decode_totals, stats)
+        _record_unit_metrics(kind, unit_shots, unit_t0)
+        return LogicalErrorResult(
+            scheme=memory.scheme,
+            basis=memory.basis,
+            distance=machine.distance,
+            rounds=memory.rounds,
+            shots=unit_shots,
+            logical_errors=errors,
+            undetectable_probability=setup.graph.undetectable_probability,
+            decoder=decoder,
+            decode_stats=stats,
+        )
+
+    per_qubit: list[QubitExperiment] = []
     for index, qubit in enumerate(sorted(schedule.residences)):
         timeline = schedule.qubit_timeline(qubit)
         shape = timeline_shape(timeline, spec)
@@ -355,58 +402,11 @@ def run_program_experiment(
             (shape, error_model, decoder),
             lambda memory=memory: prepare_decoding(memory, decoder),
         )
-        stats: dict = {}
         unit_seed = None if seed is None else seed + _QUBIT_SEED_STRIDE * index
-        unit_t0 = perf_counter() if obs.enabled() else 0.0
-        with obs.span("campaign.unit", kind="qubit", qubit=qubit):
-            if executor is not None:
-                outcome = executor.count(
-                    unit=f"{machine.embedding}/{refresh}/d{machine.distance}/q{qubit}",
-                    circuit=memory.circuit,
-                    decoder=setup.decoder,
-                    basis_ids=setup.basis_detectors,
-                    obs_ids=setup.basis_observables,
-                    shots=shots,
-                    seed=unit_seed,
-                    backend=backend,
-                    decode_stats=stats,
-                    sampler=sampler,
-                )
-                errors, unit_shots = outcome.errors, outcome.shots
-            else:
-                unit_shots = shots
-                errors = count_logical_errors(
-                    memory.circuit,
-                    setup.decoder,
-                    setup.basis_detectors,
-                    setup.basis_observables,
-                    shots,
-                    seed=unit_seed,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    backend=backend,
-                    decode_stats=stats,
-                    sampler=sampler,
-                )
-        accumulate_decode_stats(decode_totals, stats)
-        _record_unit_metrics("qubit", unit_shots, unit_t0)
-        per_qubit.append(
-            QubitExperiment(
-                qubit=qubit,
-                shape=shape,
-                result=LogicalErrorResult(
-                    scheme=memory.scheme,
-                    basis=memory.basis,
-                    distance=machine.distance,
-                    rounds=memory.rounds,
-                    shots=unit_shots,
-                    logical_errors=errors,
-                    undetectable_probability=setup.graph.undetectable_probability,
-                    decoder=decoder,
-                    decode_stats=stats,
-                ),
-            )
+        result = run_unit(
+            "qubit", f"q{qubit}", memory, sampler, setup, unit_seed, qubit=qubit
         )
+        per_qubit.append(QubitExperiment(qubit=qubit, shape=shape, result=result))
     pieces: list[PieceExperiment] | None = None
     uncovered_windows = 0
     if correlated:
@@ -441,60 +441,14 @@ def run_program_experiment(
                 (shape, error_model, decoder),
                 lambda memory=memory: prepare_decoding(memory, decoder),
             )
-            stats = {}
             pair_seed = None if seed is None else seed + _PAIR_SEED_STRIDE * (index + 1)
-            unit_t0 = perf_counter() if obs.enabled() else 0.0
-            with obs.span("campaign.unit", kind="pair", qubits=f"{qa}+{qb}"):
-                if executor is not None:
-                    outcome = executor.count(
-                        unit=(
-                            f"{machine.embedding}/{refresh}/d{machine.distance}"
-                            f"/pair{index}:q{qa}+q{qb}"
-                        ),
-                        circuit=memory.circuit,
-                        decoder=setup.decoder,
-                        basis_ids=setup.basis_detectors,
-                        obs_ids=setup.basis_observables,
-                        shots=shots,
-                        seed=pair_seed,
-                        backend=backend,
-                        decode_stats=stats,
-                        sampler=sampler,
-                    )
-                    errors, pair_shots = outcome.errors, outcome.shots
-                else:
-                    pair_shots = shots
-                    errors = count_logical_errors(
-                        memory.circuit,
-                        setup.decoder,
-                        setup.basis_detectors,
-                        setup.basis_observables,
-                        shots,
-                        seed=pair_seed,
-                        workers=workers,
-                        chunk_size=chunk_size,
-                        backend=backend,
-                        decode_stats=stats,
-                        sampler=sampler,
-                    )
-            accumulate_decode_stats(decode_totals, stats)
-            _record_unit_metrics("pair", pair_shots, unit_t0)
+            result = run_unit(
+                "pair", f"pair{index}:q{qa}+q{qb}", memory, sampler, setup,
+                pair_seed, qubits=f"{qa}+{qb}",
+            )
             pieces.append(
                 PieceExperiment(
-                    qubits=(qa, qb),
-                    windows=len(spans),
-                    shape=shape,
-                    result=LogicalErrorResult(
-                        scheme=memory.scheme,
-                        basis=memory.basis,
-                        distance=machine.distance,
-                        rounds=memory.rounds,
-                        shots=pair_shots,
-                        logical_errors=errors,
-                        undetectable_probability=setup.graph.undetectable_probability,
-                        decoder=decoder,
-                        decode_stats=stats,
-                    ),
+                    qubits=(qa, qb), windows=len(spans), shape=shape, result=result
                 )
             )
         paired = partition.paired_qubits
@@ -539,7 +493,7 @@ class ArchitectureComparison:
     def decode_totals(self) -> dict:
         totals: dict = {}
         for row in self.rows:
-            accumulate_decode_stats(totals, row.decode_stats)
+            obs.merge_counts(totals, row.decode_stats)
         return totals
 
     def table_rows(self) -> list[tuple]:

@@ -93,23 +93,14 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             run_memory_experiment(memory, shots=100, backend="simd")
 
-    def test_decode_stats_accumulator_does_not_alias_results(self):
-        """A shared accumulator sums across runs; each result keeps its
-        own per-run stats (regression: the accumulator used to be
-        attached to every result, so later runs corrupted earlier ones)."""
+    def test_results_keep_their_own_decode_stats(self):
+        """Each result carries its own run's stats, never a shared dict."""
         memory = _memory()
-        accumulator: dict = {}
-        first = run_memory_experiment(
-            memory, shots=200, seed=0, decode_stats=accumulator
-        )
-        second = run_memory_experiment(
-            memory, shots=300, seed=1, decode_stats=accumulator
-        )
+        first = run_memory_experiment(memory, shots=200, seed=0)
+        second = run_memory_experiment(memory, shots=300, seed=1)
         assert first.decode_stats["shots"] == 200
         assert second.decode_stats["shots"] == 300
-        assert accumulator["shots"] == 500
-        assert first.decode_stats is not accumulator
-        assert second.decode_stats is not accumulator
+        assert first.decode_stats is not second.decode_stats
 
 
 class TestPackObservables:
@@ -265,3 +256,64 @@ class TestBoundedDecodeWork:
         )
         run_memory_experiment(memory, shots=shots, seed=0, chunk_size=1024)
         assert 0 < len(calls) < shots // 4
+
+
+def _tiers(trivial, weight1, batched, unique, shots):
+    """A full decode_stats dict of a run whose weight2/cached/full are 0,
+    so every LRU lookup misses and becomes a batched decode."""
+    return {
+        "trivial": trivial, "weight1": weight1, "weight2": 0, "cached": 0,
+        "batched": batched, "full": 0, "unique": unique, "shots": shots,
+        "lru_hits": 0, "lru_misses": batched,
+    }
+
+
+class TestTierStatsPins:
+    """Exact decode-tier stats at seed 0, plain engine and durable executor.
+
+    Counts alone are pinned elsewhere; these pin every tier value, so a
+    refactor of how stats travel from blocks to results cannot move one.
+    The plain memory run decodes its 2048 shots as one batch, the durable
+    one as two independent blocks, hence the different ``unique``.
+    """
+
+    MEMORY = {
+        "plain": _tiers(trivial=1, weight1=16, batched=358, unique=375,
+                        shots=2048),
+        "durable": _tiers(trivial=2, weight1=32, batched=420, unique=454,
+                          shots=2048),
+    }
+    #: 8 qubit + 4 surgery-pair units of one block each, so both paths agree
+    COMPARE = _tiers(trivial=12, weight1=376, batched=7052, unique=7440,
+                     shots=12288)
+
+    @pytest.fixture(params=["plain", "durable"])
+    def path(self, request, tmp_path):
+        """``(name, executor)``: no executor, or a durable one on a fresh
+        ledger in ``tmp_path``."""
+        if request.param == "plain":
+            yield "plain", None
+            return
+        from repro.durable import DurableExecutor, RunLedger
+
+        ledger = RunLedger(tmp_path / "ledger.jsonl", {"pins": 1})
+        yield "durable", DurableExecutor(ledger)
+        ledger.close()
+
+    def test_memory_experiment(self, path):
+        name, executor = path
+        result = run_memory_experiment(
+            _memory(), shots=2048, seed=0, executor=executor
+        )
+        assert result.decode_stats == self.MEMORY[name]
+
+    def test_correlated_comparison(self, path):
+        from repro.core import LogicalProgram
+        from repro.vlq import compare_architectures
+
+        _, executor = path
+        comparison = compare_architectures(
+            LogicalProgram.bell_pairs(2), distances=(3,), shots=1024, seed=0,
+            policy="surgery_only", correlated=True, executor=executor,
+        )
+        assert comparison.decode_totals() == self.COMPARE

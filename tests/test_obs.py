@@ -12,8 +12,9 @@ Covers the contract EXPERIMENTS.md, "Observability" documents:
   tier instruments satisfy the ``sum(tiers) == unique`` identity;
 - bit-identity: arming the registry and tracer never changes measured
   counts;
-- ``decode_stats`` as a compatibility view derived from the registry,
-  with one shared merge implementation (``obs.merge_counts``);
+- a result's ``decode_stats`` agreeing with the registry's decode
+  instruments, and one shared merge implementation
+  (``obs.merge_counts``);
 - the span tracer: parent ids, bounded buffer, Chrome trace_event
   export, JSONL round trip;
 - Prometheus text exposition: render/parse round trip and the strict
@@ -169,15 +170,10 @@ class TestMergeSemantics:
         assert obs.summarize_snapshot(delta) == {}
 
     def test_merge_counts_is_the_single_stats_merge(self):
-        """The legacy decode_stats accumulation delegates to merge_counts."""
-        from repro.sim.engine import accumulate_decode_stats
-
+        """Per-key sums; missing keys are created."""
         into = {"shots": 100, "trivial": 2}
-        accumulate_decode_stats(into, {"shots": 50, "trivial": 1, "batched": 9})
+        obs.merge_counts(into, {"shots": 50, "trivial": 1, "batched": 9})
         assert into == {"shots": 150, "trivial": 3, "batched": 9}
-        mirror = {"shots": 100, "trivial": 2}
-        obs.merge_counts(mirror, {"shots": 50, "trivial": 1, "batched": 9})
-        assert mirror == into
 
 
 # ---------------------------------------------------------------------------
@@ -246,37 +242,45 @@ class TestEngineIntegration:
         assert sum(tiers.values()) == totals["repro_decode_unique_total"]
         assert totals["repro_decode_shots_total"] == self.SHOTS
 
-    def test_decode_stats_view_matches_legacy_dict(self):
+    def test_tier_instruments_match_result_decode_stats(self):
+        """The registry instruments and a result's decode_stats are fed
+        by the same choke point, so on a single-process run they agree."""
         from repro.decoders import TIER_NAMES
 
-        decode_stats = {}
         reg = obs.enable()
-        memory = _memory()
-        run_memory_experiment(
-            memory, shots=2048, seed=3, workers=1, chunk_size=self.CHUNK,
-            decode_stats=decode_stats,
+        result = run_memory_experiment(
+            _memory(), shots=2048, seed=3, workers=1, chunk_size=self.CHUNK,
         )
-        view = obs.decode_stats_view(reg.snapshot())
-        for key in ("shots", "unique", "lru_hits", "lru_misses", *TIER_NAMES):
-            assert view[key] == decode_stats.get(key, 0), key
+        snap = reg.snapshot()
+        stats = result.decode_stats
+        totals = obs.summarize_snapshot(snap)
+        for name, key in (
+            ("repro_decode_shots_total", "shots"),
+            ("repro_decode_unique_total", "unique"),
+            ("repro_decode_lru_hits_total", "lru_hits"),
+            ("repro_decode_lru_misses_total", "lru_misses"),
+        ):
+            assert totals.get(name, 0) == stats[key], name
+        tiers = {
+            key.split("\x1f")[0]: value
+            for key, value in snap["repro_decode_tier_shots_total"]["values"].items()
+        }
+        for tier in TIER_NAMES:
+            assert tiers.get(tier, 0) == stats[tier], tier
 
     def test_observability_never_changes_results(self):
         """Campaign results are bit-identical with obs on vs off."""
         memory = _memory()
-        baseline_stats = {}
         baseline = run_memory_experiment(
             memory, shots=2048, seed=11, workers=1, chunk_size=self.CHUNK,
-            decode_stats=baseline_stats,
         )
         obs.enable()
         obs.enable_tracing()
-        armed_stats = {}
         armed = run_memory_experiment(
             memory, shots=2048, seed=11, workers=1, chunk_size=self.CHUNK,
-            decode_stats=armed_stats,
         )
         assert armed.logical_errors == baseline.logical_errors
-        assert armed_stats == baseline_stats
+        assert armed.decode_stats == baseline.decode_stats
 
 
 # ---------------------------------------------------------------------------
