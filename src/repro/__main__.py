@@ -186,7 +186,7 @@ def _obs_session(args):
     """Arm metrics + tracing for one campaign command when requested.
 
     With ``--obs-dir`` the registry and tracer are enabled before the
-    body runs (``REPRO_OBS=1`` is exported so spawned pool workers arm
+    body runs (``REPRO_OBS=1`` is exported so spawned fleet workers arm
     themselves and ship metric deltas back with their chunk results),
     and the snapshot/spans are dumped on the way out — including on an
     interrupted run, so a checkpointed campaign still leaves its
@@ -460,20 +460,9 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_memory(args) -> int:
     from repro.decoders import TIER_NAMES
-    from repro.noise import ErrorModel
-    from repro.service.specs import build_memory_spec
+    from repro.service.specs import build_memory_spec, memory_circuit
     from repro.sim import DEFAULT_CHUNK_SIZE, run_memory_experiment
-    from repro.threshold import build_memory_circuit
-    from repro.threshold.estimator import default_hardware_for
 
-    model = ErrorModel(
-        hardware=default_hardware_for(args.scheme),
-        p=args.p,
-        scale_coherence=False,
-    )
-    memory = build_memory_circuit(
-        args.scheme, args.distance, model, basis=args.basis, rounds=args.rounds
-    )
     # Shared with the service so CLI and HTTP submissions of the same
     # campaign hash to the same run key (and hence the same ledger).
     spec = build_memory_spec(
@@ -481,6 +470,7 @@ def _cmd_memory(args) -> int:
         rounds=args.rounds, basis=args.basis, shots=args.shots,
         seed=args.seed, decoder=args.decoder, backend=args.backend,
     )
+    memory = memory_circuit(spec)
 
     def body(executor) -> int:
         result = run_memory_experiment(

@@ -17,9 +17,14 @@ which
 5. writes a ``unit`` summary reconciling
    ``completed + quarantined == scheduled``.
 
-**Determinism contract.**  ``run_block`` always clears the decoder's
-cross-batch state before a block, so every block's ``(errors, stats)``
-is a pure function of ``(circuit, seed, block index)`` — which makes an
+Blocks run on the same supervised executor as the plain engine, as
+one-block tasks; a unit opens one :class:`~repro.durable.supervise.WorkerFleet`
+for all its waves when ``workers > 1`` and no persistent fleet was given.
+
+**Determinism contract.**  Durable tasks have ``run_block`` clear the
+decoder's cross-batch state before each block, so every block's
+``(errors, stats)`` is a pure function of ``(circuit, seed, block
+index)`` — which makes an
 interrupted-and-resumed campaign *bit-identical* to an uninterrupted
 one: same block records, same unit totals, same Wilson intervals,
 regardless of workers, scheduling, crashes or retries.  (Durable stats
@@ -50,7 +55,7 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.durable.faults import InjectedTornWrite
 from repro.durable.ledger import RunLedger
-from repro.durable.supervise import RetryPolicy, run_supervised
+from repro.durable.supervise import RetryPolicy, WorkerFleet, run_supervised
 from repro.sim.engine import block_seeds, make_sampler
 from repro.sim.stats import wilson_interval
 
@@ -118,7 +123,7 @@ class DurableExecutor:
         self.stop_interval_blocks = max(1, stop_interval_blocks)
         #: optional persistent :class:`~repro.durable.supervise.WorkerFleet`
         #: — when set, units run on these long-lived workers instead of
-        #: spawning a pool per call (the campaign service shares one
+        #: opening a fleet per unit (the campaign service shares one
         #: fleet across every job it schedules)
         self.fleet = fleet
         #: optional progress observer called after each checkpointed
@@ -248,42 +253,47 @@ class DurableExecutor:
         waves = [blocks[i : i + interval] for i in range(0, len(blocks), interval)]
         stopped_early = False
         decided: list = []  # blocks inside the waves that actually ran
-        for wave in waves:
-            decided.extend(wave)
-            pending = [b for b in wave if b[0] not in done]
-            if pending:
-                obs.counter("repro_durable_waves_total").inc()
-                try:
-                    with obs.span("durable.wave", unit=unit, pending=len(pending)):
-                        supervised = run_supervised(
-                            pending,
-                            worker_args,
-                            unit=unit,
-                            workers=self.workers,
-                            policy=self.policy,
-                            fault=self.fault,
-                            on_block_done=on_block_done,
-                            on_event=self.ledger.record_event,
-                            should_abort=lambda: self._stop_requested,
-                            fleet=self.fleet,
+        fleet = self.fleet
+        with contextlib.ExitStack() as owned:
+            for wave in waves:
+                decided.extend(wave)
+                pending = [b for b in wave if b[0] not in done]
+                if pending:
+                    if fleet is None and self.workers > 1:
+                        fleet = owned.enter_context(
+                            WorkerFleet(min(self.workers, len(blocks) - len(done)))
                         )
-                except InjectedTornWrite:
-                    self.request_stop("torn-write")
-                    raise self._interrupted(unit, len(done))
-                self.total_retries += supervised.retries
-                for q in supervised.quarantined:
-                    quarantined.append(q.index)
-                if supervised.aborted or self._stop_requested:
-                    raise self._interrupted(unit, len(done))
-            if self.target_ci_width is not None:
-                completed_so_far = [b[0] for b in decided if b[0] in done]
-                shots_so_far = sum(done[i]["shots"] for i in completed_so_far)
-                errors_so_far = sum(done[i]["errors"] for i in completed_so_far)
-                if shots_so_far > 0:
-                    lo, hi = wilson_interval(errors_so_far, shots_so_far)
-                    if hi - lo <= self.target_ci_width:
-                        stopped_early = True
-                        break
+                    obs.counter("repro_durable_waves_total").inc()
+                    try:
+                        with obs.span("durable.wave", unit=unit, pending=len(pending)):
+                            supervised = run_supervised(
+                                [[block] for block in pending],
+                                worker_args,
+                                unit=unit,
+                                policy=self.policy,
+                                fault=self.fault,
+                                on_block_done=on_block_done,
+                                on_event=self.ledger.record_event,
+                                should_abort=lambda: self._stop_requested,
+                                fleet=fleet,
+                            )
+                    except InjectedTornWrite:
+                        self.request_stop("torn-write")
+                        raise self._interrupted(unit, len(done))
+                    self.total_retries += supervised.retries
+                    for q in supervised.quarantined:
+                        quarantined.append(q.index)
+                    if supervised.aborted or self._stop_requested:
+                        raise self._interrupted(unit, len(done))
+                if self.target_ci_width is not None:
+                    completed_so_far = [b[0] for b in decided if b[0] in done]
+                    shots_so_far = sum(done[i]["shots"] for i in completed_so_far)
+                    errors_so_far = sum(done[i]["errors"] for i in completed_so_far)
+                    if shots_so_far > 0:
+                        lo, hi = wilson_interval(errors_so_far, shots_so_far)
+                        if hi - lo <= self.target_ci_width:
+                            stopped_early = True
+                            break
 
         completed = sorted(i for i, _, _ in decided if i in done)
         quarantined = sorted(set(quarantined))

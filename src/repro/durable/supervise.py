@@ -1,45 +1,52 @@
 """Supervised block execution: timeouts, retry with backoff, quarantine.
 
-``multiprocessing.Pool`` cannot express the failure model durable
-campaigns need — a hung worker blocks ``imap`` forever, and a crashed
-worker poisons the pool.  This module runs raw ``Process`` workers, each
-with its own task queue and a shared result queue, under a parent-side
-supervisor that:
+This is the only executor of shot blocks.  Its unit of work is a
+*task*: a list of consecutive ``(index, shots, seed)`` blocks run by one
+:func:`~repro.sim.engine.run_block` call and identified by its first
+block index.  Durable campaigns (``repro.durable.runner``) submit
+one-block tasks, so each block is checkpointed on its own; the plain
+engine (``repro.sim.engine.count_logical_errors``) submits its chunks.
 
-- enforces a **per-block deadline** (``RetryPolicy.block_timeout``) and
+``multiprocessing.Pool`` cannot express the failure model either needs —
+a hung worker blocks ``imap`` forever, and a crashed worker poisons the
+pool, so the caller never returns.  This module runs raw ``Process``
+workers, each with its own task queue and a shared result queue, under
+a parent-side supervisor that:
+
+- enforces a **per-task deadline** (``RetryPolicy.block_timeout``) and
   checks ``Process.is_alive`` every poll tick, so hangs and crashes are
   both detected within one tick;
 - on failure **terminates and respawns** the worker, then re-queues the
-  block with **bounded retry** — deterministic exponential backoff with
+  task with **bounded retry** — deterministic exponential backoff with
   hash-derived jitter (no global RNG, so supervision never perturbs the
   sampled physics);
-- after ``max_attempts`` failures **quarantines** the block: it is
+- after ``max_attempts`` failures **quarantines** the task: it is
   reported in the outcome (and the ledger) rather than silently dropped,
   keeping ``completed + quarantined == scheduled`` reconcilable;
 - ignores **late results** from attempts it already timed out (a
-  ``handled`` set keyed by ``(block, attempt)``), so a race between a
-  slow worker and its deadline can never double-count a block.  The
+  ``handled`` set keyed by ``(task, attempt)``), so a race between a
+  slow worker and its deadline can never double-count a task.  The
   dedup is attempt-exact on *both* sides: a late result for attempt
   ``k`` never clears the deadline of a respawned worker already running
-  attempt ``k+1`` of the same block (the cross-respawn edge), so the
+  attempt ``k+1`` of the same task (the cross-respawn edge), so the
   retry stays supervised and its result is counted exactly once.
 
 The workers themselves live in a :class:`WorkerFleet` — a persistent,
-reusable pool.  ``run_supervised`` spawns an ephemeral fleet when none
-is passed, preserving the one-shot behaviour; a long-lived caller (the
-campaign service, ``repro.service``) passes its own fleet so the same
-worker processes serve many units and many jobs.  Each
+reusable pool owned by the caller: the engine opens one per
+``count_logical_errors`` call, a durable unit one for all its waves,
+and the campaign service (``repro.service``) one for its lifetime, so
+the same worker processes serve many units and many jobs.  Each
 :meth:`WorkerFleet.configure` call starts a new *epoch* and ships the
 unit's ``worker_args`` to every worker; tasks and results are tagged
 with the epoch, so a straggler result from a previous unit can never be
 mistaken for current work.
 
-Because every block's result is a pure function of ``(circuit, seed,
-index)`` (see ``repro.sim.engine.run_block``), none of this machinery
-can change the answer — retries re-execute bit-identical work, and the
-completion order only affects scheduling, never the sums.
+Because every block's error count is a pure function of ``(circuit,
+seed, index)`` (see ``repro.sim.engine.run_block``), none of this
+machinery can change the answer — retries re-execute bit-identical
+work, and the completion order only affects scheduling, never the sums.
 
-With ``workers == 1`` and no fleet the same contract runs inline:
+With no fleet the same contract runs inline:
 injected crashes arrive as :class:`~repro.durable.faults.InjectedCrash`
 exceptions instead of dead processes, and hangs as :class:`InjectedHang`
 instead of stuck deadlines, so the retry/quarantine logic is identical
@@ -99,7 +106,10 @@ class RetryPolicy:
 
 @dataclass
 class BlockOutcome:
-    """Result of supervising one block to completion or quarantine."""
+    """Result of supervising one task to completion or quarantine.
+
+    ``index`` is the task's first block and ``shots`` its total.
+    """
 
     index: int
     shots: int
@@ -117,7 +127,7 @@ class SupervisedResult:
     completed: list[BlockOutcome] = field(default_factory=list)
     quarantined: list[BlockOutcome] = field(default_factory=list)
     retries: int = 0
-    #: True when a stop was requested before every block was executed
+    #: True when a stop was requested before every task was executed
     aborted: bool = False
 
 
@@ -175,9 +185,10 @@ def _worker_main(wid: int, task_q, result_q, owner: int) -> None:
             _, epoch, worker_args, fault = message
             sampler, decoder, basis_ids, obs_ids = worker_args
             continue
-        _, task_epoch, unit, index, shots, seed, attempt = message
+        _, task_epoch, unit, keep_lru, blocks, attempt = message
         if task_epoch != epoch:
             continue  # task from an epoch this worker was never armed for
+        index = blocks[0][0]
         try:
             if fault is not None:
                 fault.apply(unit, index, attempt, inline=False)
@@ -192,9 +203,8 @@ def _worker_main(wid: int, task_q, result_q, owner: int) -> None:
                 decoder,
                 basis_ids,
                 obs_ids,
-                index,
-                shots,
-                seed,
+                blocks,
+                keep_lru=keep_lru,
                 fault=fault,
                 unit=unit,
             )
@@ -329,11 +339,11 @@ class WorkerFleet:
 
 
 def run_supervised(
-    blocks,
+    tasks,
     worker_args,
     *,
     unit: str,
-    workers: int = 1,
+    keep_lru: bool = False,
     policy: RetryPolicy | None = None,
     fault=None,
     on_block_done=None,
@@ -341,18 +351,22 @@ def run_supervised(
     should_abort=None,
     fleet: WorkerFleet | None = None,
 ) -> SupervisedResult:
-    """Execute ``(index, shots, seed)`` blocks under supervision.
+    """Execute ``tasks`` (lists of ``(index, shots, seed)`` blocks) under supervision.
+
+    ``worker_args`` is ``(sampler, decoder, basis_ids, obs_ids)`` and
+    ``keep_lru`` the decoder LRU policy, both passed to
+    :func:`~repro.sim.engine.run_block` for every task.
 
     ``on_block_done(outcome) -> bool`` is called in the parent as each
-    block completes (the runner checkpoints it to the ledger there);
-    returning True requests a graceful stop — in-flight blocks drain,
+    task completes (the runner checkpoints it to the ledger there);
+    returning True requests a graceful stop — in-flight tasks drain,
     unstarted ones are left for a future resume.  ``should_abort()`` is
     polled for externally-requested stops (signal handlers).
     ``on_event(kind, **fields)`` observes retries and quarantines.
 
-    ``fleet`` reuses a persistent :class:`WorkerFleet` instead of
-    spawning processes for this call alone; the fleet is re-armed with
-    this call's ``worker_args`` and left running afterwards.
+    ``fleet`` runs the tasks on the caller's :class:`WorkerFleet`, which
+    is re-armed with this call's ``worker_args`` and left running
+    afterwards; ``None`` runs them inline in this process.
     """
     policy = policy or RetryPolicy()
     emit = on_event or (lambda kind, **fields: None)
@@ -400,46 +414,44 @@ def run_supervised(
         )
         return (index, next_attempt, delay)
 
-    if fleet is None and workers <= 1:
-        _run_inline(blocks, worker_args, unit, policy, fault, block_done, fail,
-                    should_abort, result, lambda: stop)
+    if fleet is None:
+        _run_inline(tasks, worker_args, unit, keep_lru, fault, block_done,
+                    fail, should_abort, result, lambda: stop)
         return result
 
-    owned = fleet is None
-    if owned:
-        fleet = WorkerFleet(min(workers, max(1, len(blocks))))
-    try:
-        supervisor = _PoolSupervisor(
-            fleet, blocks, worker_args, unit=unit, policy=policy, fault=fault,
-            block_done=block_done, fail=fail, should_abort=should_abort,
-            result=result, stopped=lambda: stop,
-        )
-        supervisor.run()
-    finally:
-        if owned:
-            fleet.close()
+    supervisor = _PoolSupervisor(
+        fleet, tasks, worker_args, unit=unit, keep_lru=keep_lru,
+        policy=policy, fault=fault, block_done=block_done, fail=fail,
+        should_abort=should_abort, result=result, stopped=lambda: stop,
+    )
+    supervisor.run()
     return result
 
 
+def _task_shots(blocks) -> int:
+    return sum(block_shots for _, block_shots, _ in blocks)
+
+
 def _run_inline(
-    blocks, worker_args, unit, policy, fault, block_done, fail, should_abort,
+    tasks, worker_args, unit, keep_lru, fault, block_done, fail, should_abort,
     result, stopped,
 ) -> None:
     sampler, decoder, basis_ids, obs_ids = worker_args
-    pending = [(index, shots, seed, 0) for index, shots, seed in blocks]
+    pending = [(blocks, 0) for blocks in tasks]
     while pending:
         if stopped() or (should_abort is not None and should_abort()):
             result.aborted = True
             return
-        index, shots, seed, attempt = pending.pop(0)
+        blocks, attempt = pending.pop(0)
+        index, shots = blocks[0][0], _task_shots(blocks)
         obs.counter("repro_durable_attempts_total").inc()
         t0 = perf_counter() if obs.enabled() else 0.0
         try:
             if fault is not None:
                 fault.apply(unit, index, attempt, inline=True)
             errors, stats = run_block(
-                sampler, decoder, basis_ids, obs_ids, index, shots, seed,
-                fault=fault, unit=unit,
+                sampler, decoder, basis_ids, obs_ids, blocks,
+                keep_lru=keep_lru, fault=fault, unit=unit,
             )
             if t0:
                 obs.histogram("repro_durable_block_seconds").observe(
@@ -449,13 +461,13 @@ def _run_inline(
             retry = fail(index, shots, attempt, f"timeout: {exc}")
             if retry is not None:
                 time.sleep(retry[2])
-                pending.insert(0, (index, shots, seed, retry[1]))
+                pending.insert(0, (blocks, retry[1]))
             continue
         except Exception as exc:
             retry = fail(index, shots, attempt, f"{type(exc).__name__}: {exc}")
             if retry is not None:
                 time.sleep(retry[2])
-                pending.insert(0, (index, shots, seed, retry[1]))
+                pending.insert(0, (blocks, retry[1]))
             continue
         block_done(
             BlockOutcome(
@@ -477,22 +489,24 @@ class _PoolSupervisor:
     """
 
     def __init__(
-        self, fleet, blocks, worker_args, *, unit, policy, fault, block_done,
-        fail, should_abort, result, stopped,
+        self, fleet, tasks, worker_args, *, unit, keep_lru, policy, fault,
+        block_done, fail, should_abort, result, stopped,
     ):
         self.fleet = fleet
         self.unit = unit
+        self.keep_lru = keep_lru
         self.policy = policy
         self.block_done = block_done
         self.fail = fail
         self.should_abort = should_abort
         self.result = result
         self.stopped = stopped
-        self.by_index = {index: (shots, seed) for index, shots, seed in blocks}
+        #: each task's blocks, keyed by its first block index
+        self.by_index = {blocks[0][0]: blocks for blocks in tasks}
         self.epoch = fleet.configure(worker_args, fault)
         #: (ready_at, index, attempt) tasks not yet handed to a worker
         self.pending: list[tuple[float, int, int]] = [
-            (0.0, index, 0) for index, _, _ in blocks
+            (0.0, index, 0) for index in self.by_index
         ]
         self.handled: set[tuple[int, int]] = set()
         self.draining = False
@@ -541,8 +555,10 @@ class _PoolSupervisor:
             task = min(ready)
             self.pending.remove(task)
             _, index, attempt = task
-            shots, seed = self.by_index[index]
-            slot["q"].put(("task", self.epoch, self.unit, index, shots, seed, attempt))
+            slot["q"].put(
+                ("task", self.epoch, self.unit, self.keep_lru,
+                 self.by_index[index], attempt)
+            )
             slot["busy"] = (index, attempt, now + self.policy.block_timeout)
             obs.counter("repro_durable_attempts_total").inc()
 
@@ -568,7 +584,7 @@ class _PoolSupervisor:
         if (index, attempt) in self.handled:
             return  # late result from an attempt we already failed
         self.handled.add((index, attempt))
-        shots, _ = self.by_index[index]
+        shots = _task_shots(self.by_index[index])
         if kind == "ok":
             errors, stats, delta = payload
             reg = obs.active()
@@ -599,7 +615,7 @@ class _PoolSupervisor:
                 index, attempt, _ = busy_entry
                 if (index, attempt) not in self.handled:
                     self.handled.add((index, attempt))
-                    shots, _ = self.by_index[index]
+                    shots = _task_shots(self.by_index[index])
                     reason = (
                         f"worker {wid} exceeded {self.policy.block_timeout}s "
                         f"block timeout"

@@ -144,7 +144,7 @@ CATALOG: tuple[InstrumentSpec, ...] = (
         "Durable blocks, by outcome (executed or resumed from ledger)",
         labels=("outcome",),
     ),
-    _c("repro_durable_attempts_total", "Block attempts dispatched to workers"),
+    _c("repro_durable_attempts_total", "Supervised block/chunk attempts"),
     _c("repro_durable_retries_total", "Block attempts retried after failure"),
     _c("repro_durable_quarantined_total", "Blocks quarantined after max retries"),
     _c(
@@ -153,7 +153,7 @@ CATALOG: tuple[InstrumentSpec, ...] = (
     ),
     _c("repro_durable_respawns_total", "Fleet worker processes respawned"),
     _c("repro_durable_waves_total", "Early-stop waves executed"),
-    _h("repro_durable_block_seconds", "Wall time for one durable block attempt"),
+    _h("repro_durable_block_seconds", "Wall time for one block/chunk attempt"),
     # --- service: long-lived campaign server --------------------------------
     _c(
         "repro_service_admissions_total",

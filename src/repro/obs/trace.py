@@ -1,6 +1,6 @@
 """Span-based tracer: explicit perf_counter_ns start/stop with parent ids.
 
-Spans are process-local (pool/fleet workers trace into their own buffers,
+Spans are process-local (fleet workers trace into their own buffers,
 which are not shipped back — metrics are the cross-process signal; traces
 are for the coordinating process, which is where lowering, compile,
 scheduling, and merge time lives).  The buffer is bounded so a long-lived

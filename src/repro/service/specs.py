@@ -22,6 +22,7 @@ __all__ = [
     "build_compare_spec",
     "build_memory_spec",
     "execute_spec",
+    "memory_circuit",
     "spec_from_payload",
 ]
 
@@ -259,9 +260,9 @@ def _rate(result) -> float:
     return result.logical_error_rate if result.shots > 0 else 0.0
 
 
-def _execute_memory(spec, executor, *, workers) -> dict:
+def memory_circuit(spec: dict):
+    """The memory circuit a ``memory`` spec describes."""
     from repro.noise import ErrorModel
-    from repro.sim import run_memory_experiment
     from repro.threshold import build_memory_circuit
     from repro.threshold.estimator import default_hardware_for
 
@@ -270,12 +271,17 @@ def _execute_memory(spec, executor, *, workers) -> dict:
         p=spec["p"],
         scale_coherence=False,
     )
-    memory = build_memory_circuit(
+    return build_memory_circuit(
         spec["scheme"], spec["distance"], model,
         basis=spec["basis"], rounds=spec["rounds"],
     )
+
+
+def _execute_memory(spec, executor, *, workers) -> dict:
+    from repro.sim import run_memory_experiment
+
     result = run_memory_experiment(
-        memory,
+        memory_circuit(spec),
         shots=spec["shots"],
         decoder=spec["decoder"],
         seed=spec["seed"],

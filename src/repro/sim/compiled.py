@@ -244,7 +244,7 @@ class CompiledCircuit:
     """A circuit lowered once for bit-packed frame sampling.
 
     Instances are cheap to pickle (index arrays + CSR matrices), which is
-    how the engine ships them once per worker via the pool initializer.
+    how the engine ships them once per worker when it arms its fleet.
     """
 
     def __init__(self, circuit: Circuit):

@@ -16,7 +16,7 @@ Two sampling backends implement that contract:
   :func:`count_logical_errors` call into a
   :class:`~repro.sim.compiled.CompiledCircuit` — fused vectorized ops over
   uint64 bit-planes plus sparse GF(2) detector/observable matrices — and
-  shipped once per worker via the pool initializer, not rebuilt per chunk.
+  shipped once per worker when the fleet is armed, not rebuilt per chunk.
 - ``"reference"``: the original per-instruction bool-array
   :class:`~repro.sim.frame.FrameSimulator`, kept as the semantic oracle.
 
@@ -26,15 +26,23 @@ and invariant to ``workers``/``chunk_size`` at fixed seed.
 
 A *chunk* is a run of consecutive blocks sized by ``chunk_size``: the
 memory high-water mark (one detector array of ``chunk_size`` rows per
-in-flight chunk) and the multiprocessing work unit.  Within a chunk the
-syndromes of all its blocks are decoded together through
+in-flight chunk) and the unit of work handed to a worker.  Within a chunk
+the syndromes of all its blocks are decoded together through
 ``decoder.decode_batch``, so duplicate syndromes across the whole chunk
 are decoded once.
+
+Chunks run through the same supervised executor as durable campaigns
+(``repro.durable.supervise.run_supervised``): each chunk is one task for
+:func:`run_block`, inline when there is one worker or one chunk, else on
+a :class:`~repro.durable.supervise.WorkerFleet` the call opens and closes.
+A chunk that raises, or whose worker dies, fails the call with a
+:class:`BlockExecutionError` instead of hanging it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import contextlib
+import math
 from time import perf_counter
 from typing import Sequence
 
@@ -109,7 +117,7 @@ class BlockExecutionError(RuntimeError):
 
     The message pins the failing block index and its SeedSequence
     identity so the failure is reproducible from the message alone —
-    replay with ``run_block`` at that index, no pool required.
+    replay with ``run_block`` at that index, no worker required.
     """
 
     def __init__(self, message: str, block: int, seed_label: str):
@@ -118,8 +126,18 @@ class BlockExecutionError(RuntimeError):
         self.seed_label = seed_label
 
     def __reduce__(self):
-        # Keep the custom fields across pickling (worker -> pool parent).
+        # Keep the custom fields across pickling (worker -> parent).
         return (type(self), (str(self), self.block, self.seed_label))
+
+
+def _block_error(blocks, action: str, reason: str) -> BlockExecutionError:
+    """The error for ``action`` failing on ``blocks``, pinned to the first."""
+    index, _, seed = blocks[0]
+    last = blocks[-1][0]
+    where = f"block {index}" if last == index else f"blocks {index}..{last}"
+    label = _seed_label(seed)
+    message = f"{action} {where} ({label}) failed: {reason}"
+    return BlockExecutionError(message, index, label)
 
 
 class _ReferenceSampler:
@@ -156,75 +174,14 @@ def _pack_observables(observables: np.ndarray, obs_ids: Sequence[int]) -> np.nda
     return packed
 
 
-def _run_chunk(
-    sampler,
-    decoder: SyndromeDecoder,
-    basis_ids: Sequence[int],
-    obs_ids: Sequence[int],
-    blocks: list[tuple[int, int, np.random.SeedSequence]],
-) -> tuple[int, dict[str, int]]:
-    """Sample, decode and score one chunk of ``(index, shots, seed)`` blocks.
-
-    Returns the chunk's logical-error count and the decode-tier occupancy
-    of its ``decode_batch`` call (see ``repro.decoders.batch.TIER_NAMES``).
-    Any failure is re-raised as :class:`BlockExecutionError` carrying the
-    block index and seed, so a poisoned block is reproducible from the
-    message alone instead of a bare pool traceback.
-    """
-    # Preallocate the chunk's syndrome array and fill block-by-block, so
-    # peak detector memory really is the documented one-chunk bound (a
-    # concatenate of per-block slices would transiently double it).
-    reg = obs.active()
-    t0 = perf_counter() if reg is not None else 0.0
-    chunk_shots = sum(block_shots for _, block_shots, _ in blocks)
-    dets = np.empty((chunk_shots, len(basis_ids)), dtype=bool)
-    actual = np.empty(chunk_shots, dtype=np.int64)
-    at = 0
-    for index, block_shots, seed in blocks:
-        try:
-            data = sampler.sample(block_shots, seed)
-            dets[at : at + data.shots] = data.detectors[:, basis_ids]
-            actual[at : at + data.shots] = _pack_observables(data.observables, obs_ids)
-        except Exception as exc:
-            raise BlockExecutionError(
-                f"sampling block {index} ({_seed_label(seed)}) failed: {exc!r}",
-                index,
-                _seed_label(seed),
-            ) from exc
-        at += data.shots
-    t1 = perf_counter() if reg is not None else 0.0
-    try:
-        predictions = decoder.decode_batch(dets)
-    except Exception as exc:
-        first_index, _, first_seed = blocks[0]
-        last_index = blocks[-1][0]
-        raise BlockExecutionError(
-            f"decoding chunk of blocks {first_index}..{last_index} "
-            f"(first block {_seed_label(first_seed)}) failed: {exc!r}",
-            first_index,
-            _seed_label(first_seed),
-        ) from exc
-    stats = decoder.last_batch_stats or {}
-    errors = int(np.count_nonzero(predictions != actual))
-    if reg is not None:
-        t2 = perf_counter()
-        reg.counter("repro_engine_shots_total").inc(chunk_shots)
-        reg.counter("repro_engine_blocks_total").inc(len(blocks))
-        reg.counter("repro_engine_logical_errors_total").inc(errors)
-        reg.histogram("repro_engine_sample_seconds").observe(t1 - t0)
-        reg.histogram("repro_engine_decode_seconds").observe(t2 - t1)
-        reg.histogram("repro_engine_chunk_seconds").observe(t2 - t0)
-    return errors, stats
-
-
 def decode_block_full(
     decoder: SyndromeDecoder, dets: np.ndarray
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Tier-free fallback decode: every unique syndrome through ``decode``.
 
-    The graceful-degradation path for durable blocks — when the tiered
+    The graceful-degradation path of :func:`run_block` — when the tiered
     dispatcher raises (a tier assertion, or an injected decode fault),
-    the block is re-decoded with nothing but the full decoder, which the
+    the task is re-decoded with nothing but the full decoder, which the
     tiers are provably equivalent to, so the error count is preserved.
     Stats keep the tier-sum == unique identity with everything heavy in
     ``full``.
@@ -257,45 +214,62 @@ def run_block(
     decoder: SyndromeDecoder,
     basis_ids: Sequence[int],
     obs_ids: Sequence[int],
-    index: int,
-    block_shots: int,
-    seed: np.random.SeedSequence,
+    blocks: Sequence[tuple[int, int, np.random.SeedSequence]],
     *,
+    keep_lru: bool = False,
     fault=None,
     unit: str = "",
 ) -> tuple[int, dict[str, int]]:
-    """Sample, decode and score ONE shot block — the durable unit of work.
+    """Sample, decode and score a run of consecutive ``(index, shots, seed)`` blocks.
 
-    The decoder's cross-batch LRU is always cleared first, so the
-    returned ``(errors, stats)`` pair is a pure function of
-    ``(sampler, seed, index)`` — bit-identical no matter which worker
-    runs the block, in what order, or after which others.
-    That purity is what makes checkpointed results safe to resume from
-    and byte-comparable across interrupted and uninterrupted runs.
+    The one sample -> decode -> score routine: a durable task is a single
+    block, an engine task one chunk.  The blocks' syndromes fill one
+    preallocated array, so peak detector memory really is the documented
+    one-chunk bound (a concatenate of per-block slices would transiently
+    double it), and are decoded by one ``decode_batch`` call, so a
+    syndrome repeated anywhere in the task is decoded once.  Returns the
+    logical-error count and the decode-tier occupancy of that call (see
+    ``repro.decoders.batch.TIER_NAMES``).
+
+    ``keep_lru`` is the decoder's cross-batch LRU policy.  ``False``
+    (durable tasks) clears it first, so ``(errors, stats)`` is a pure
+    function of ``(sampler, blocks)`` — bit-identical no matter which
+    worker runs the block, in what order, or after which others; that
+    purity is what makes checkpointed results safe to resume from.
+    ``True`` (engine chunks) keeps it, so a syndrome seen in an earlier
+    chunk on the same process is served from the LRU (the ``cached``
+    tier).  Counts are the same either way; only the tier split moves.
 
     ``fault`` is an optional fault-injection hook (duck-typed; see
     ``repro.durable.faults.FaultPlan``): ``fault.check_decode(unit,
     index)`` may raise to simulate a decode-tier failure, which — like a
     real tier assertion — degrades gracefully to the tier-free
-    :func:`decode_block_full` fallback instead of failing the block.
+    :func:`decode_block_full` fallback instead of failing the task.  Any
+    other failure is raised as :class:`BlockExecutionError` naming the
+    block and its seed, so it is reproducible from the message alone.
     """
     reg = obs.active()
     t0 = perf_counter() if reg is not None else 0.0
-    decoder.reset_batch_state()
-    try:
-        data = sampler.sample(block_shots, seed)
-        dets = data.detectors[:, basis_ids]
-        actual = _pack_observables(data.observables, obs_ids)
-    except Exception as exc:
-        raise BlockExecutionError(
-            f"sampling block {index} ({_seed_label(seed)}) failed: {exc!r}",
-            index,
-            _seed_label(seed),
-        ) from exc
+    if not keep_lru:
+        decoder.reset_batch_state()
+    task_shots = sum(block_shots for _, block_shots, _ in blocks)
+    dets = np.empty((task_shots, len(basis_ids)), dtype=bool)
+    actual = np.empty(task_shots, dtype=np.int64)
+    at = 0
+    for index, block_shots, seed in blocks:
+        try:
+            data = sampler.sample(block_shots, seed)
+            dets[at : at + data.shots] = data.detectors[:, basis_ids]
+            actual[at : at + data.shots] = _pack_observables(data.observables, obs_ids)
+        except Exception as exc:
+            block = [(index, block_shots, seed)]
+            raise _block_error(block, "sampling", repr(exc)) from exc
+        at += data.shots
+    t1 = perf_counter() if reg is not None else 0.0
     fallback = False
     try:
         if fault is not None:
-            fault.check_decode(unit, index)
+            fault.check_decode(unit, blocks[0][0])
         predictions = decoder.decode_batch(dets)
         stats = dict(decoder.last_batch_stats or {})
     except Exception:
@@ -303,48 +277,21 @@ def run_block(
             predictions, stats = decode_block_full(decoder, dets)
             fallback = True
         except Exception as exc:
-            raise BlockExecutionError(
-                f"decoding block {index} ({_seed_label(seed)}) failed even "
-                f"in the tier-free fallback: {exc!r}",
-                index,
-                _seed_label(seed),
+            raise _block_error(
+                blocks, "decoding", f"{exc!r}, even in the tier-free fallback"
             ) from exc
     if fallback:
         stats["fallback"] = 1
     errors = int(np.count_nonzero(predictions != actual))
     if reg is not None:
-        reg.counter("repro_engine_shots_total").inc(block_shots)
-        reg.counter("repro_engine_blocks_total").inc(1)
+        t2 = perf_counter()
+        reg.counter("repro_engine_shots_total").inc(task_shots)
+        reg.counter("repro_engine_blocks_total").inc(len(blocks))
         reg.counter("repro_engine_logical_errors_total").inc(errors)
-        reg.histogram("repro_engine_chunk_seconds").observe(perf_counter() - t0)
+        reg.histogram("repro_engine_sample_seconds").observe(t1 - t0)
+        reg.histogram("repro_engine_decode_seconds").observe(t2 - t1)
+        reg.histogram("repro_engine_chunk_seconds").observe(t2 - t0)
     return errors, stats
-
-
-# Per-worker state installed by the pool initializer, so the sampler
-# (compiled circuit) and decoder are pickled once per worker, not per chunk.
-_WORKER: dict = {}
-
-
-def _init_worker(sampler, decoder, basis_ids, obs_ids) -> None:
-    _WORKER["args"] = (sampler, decoder, basis_ids, obs_ids)
-
-
-def _run_chunk_in_worker(blocks) -> tuple[int, dict[str, int], dict | None]:
-    """Pool work unit: chunk result plus the worker's metrics delta.
-
-    When observability is on in the worker (inherited by fork, or re-armed
-    via ``REPRO_OBS=1`` under spawn), the chunk's instrument increments are
-    shipped back as a snapshot delta for the parent to merge — metrics
-    survive process fan-out without touching the ``(errors, stats)`` pair
-    that campaign results are built from.
-    """
-    reg = obs.active()
-    if reg is None:
-        errors, stats = _run_chunk(*_WORKER["args"], blocks)
-        return errors, stats, None
-    before = reg.snapshot()
-    errors, stats = _run_chunk(*_WORKER["args"], blocks)
-    return errors, stats, obs.snapshot_delta(reg.snapshot(), before)
 
 
 def count_logical_errors(
@@ -375,7 +322,9 @@ def count_logical_errors(
     Parameters
     ----------
     workers:
-        Processes to shard chunks across; ``1`` runs inline.
+        Processes to shard chunks across; ``1`` runs inline.  A chunk
+        that fails (an exception, or a worker that dies) raises
+        :class:`BlockExecutionError` naming its first block and seed.
     chunk_size:
         Shots materialized per chunk, rounded down to whole blocks
         (minimum one block).  Bounds peak memory at any total shot count.
@@ -400,38 +349,37 @@ def count_logical_errors(
             f"cannot pack {len(obs_ids)} observables into an int64 mask "
             "(at most 63 observables per basis are supported)"
         )
+    # Imported here: the supervisor imports this module for run_block.
+    from repro.durable.supervise import RetryPolicy, WorkerFleet, run_supervised
+
     if sampler is None:
         sampler = make_sampler(circuit, backend)
     blocks = block_seeds(shots, seed)
     per_chunk = max(1, chunk_size // SHOT_BLOCK)
     chunks = [blocks[i : i + per_chunk] for i in range(0, len(blocks), per_chunk)]
-
+    pool = min(workers, len(chunks))
+    failed: list[dict] = []
+    with obs.span("engine.count", shots=shots, workers=pool, backend=backend):
+        with WorkerFleet(pool) if pool > 1 else contextlib.nullcontext() as fleet:
+            supervised = run_supervised(
+                chunks,
+                (sampler, decoder, basis_ids, obs_ids),
+                unit="engine",
+                keep_lru=True,
+                # One attempt (a chunk is deterministic, so a retry would
+                # fail alike) and no deadline (a slow chunk is not a hung one).
+                policy=RetryPolicy(block_timeout=math.inf, max_attempts=1),
+                on_event=lambda kind, **fields: failed.append(fields),
+                should_abort=lambda: bool(failed),
+                fleet=fleet,
+            )
+    if supervised.quarantined:
+        outcome = min(supervised.quarantined, key=lambda o: o.index)
+        chunk = chunks[outcome.index // per_chunk]
+        raise _block_error(chunk, "running", outcome.failure)
     errors = 0
     totals: dict[str, int] = {}
-    if workers == 1 or len(chunks) == 1:
-        with obs.span("engine.count", shots=shots, workers=1, backend=backend):
-            for chunk in chunks:
-                chunk_errors, stats = _run_chunk(
-                    sampler, decoder, basis_ids, obs_ids, chunk
-                )
-                errors += chunk_errors
-                obs.merge_counts(totals, stats)
-        return errors, totals
-
-    reg = obs.active()
-    ctx = multiprocessing.get_context()
-    with obs.span("engine.count", shots=shots, workers=workers, backend=backend):
-        with ctx.Pool(
-            processes=min(workers, len(chunks)),
-            initializer=_init_worker,
-            initargs=(sampler, decoder, basis_ids, obs_ids),
-        ) as pool:
-            # Summation is order-independent, so drain shards as they finish.
-            for chunk_errors, stats, delta in pool.imap_unordered(
-                _run_chunk_in_worker, chunks
-            ):
-                errors += chunk_errors
-                obs.merge_counts(totals, stats)
-                if reg is not None and delta is not None:
-                    reg.merge_snapshot(delta)
+    for outcome in supervised.completed:
+        errors += outcome.errors
+        obs.merge_counts(totals, outcome.stats)
     return errors, totals

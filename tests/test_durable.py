@@ -404,7 +404,7 @@ class TestBlockErrorContext:
         index, shots, seed = block_seeds(SHOTS, SEED)[2]
         with pytest.raises(BlockExecutionError) as excinfo:
             run_block(BrokenSampler(), setup.decoder, setup.basis_detectors,
-                      setup.basis_observables, index, shots, seed)
+                      setup.basis_observables, [(index, shots, seed)])
         err = excinfo.value
         assert err.block == 2
         assert "block 2" in str(err)
@@ -570,7 +570,7 @@ class _FakeFleet:
         self.slots[wid] = {"proc": _FakeProc(), "q": _FakeQueue(), "busy": None}
 
 
-def _make_supervisor(fleet, blocks, policy):
+def _make_supervisor(fleet, tasks, policy):
     """A _PoolSupervisor wired to recording callbacks (no processes)."""
     from repro.durable.supervise import (
         BlockOutcome,
@@ -595,8 +595,9 @@ def _make_supervisor(fleet, blocks, policy):
         return (index, next_attempt, 0.0)
 
     supervisor = _PoolSupervisor(
-        fleet, blocks, ("sampler", "decoder", "basis", "obs"),
-        unit="memory", policy=policy, fault=None, block_done=block_done,
+        fleet, tasks, ("sampler", "decoder", "basis", "obs"),
+        unit="memory", keep_lru=False, policy=policy, fault=None,
+        block_done=block_done,
         fail=fail, should_abort=None, result=result, stopped=lambda: False,
     )
     return supervisor, result
@@ -612,7 +613,7 @@ class TestCrossRespawnDedup:
         fleet = _FakeFleet(size=1)
         policy = RetryPolicy(block_timeout=10.0, max_attempts=3,
                              retry_base_delay=0.0)
-        supervisor, result = _make_supervisor(fleet, [(5, 1024, None)], policy)
+        supervisor, result = _make_supervisor(fleet, [[(5, 1024, None)]], policy)
 
         # Retries are re-queued at time.monotonic() + delay, so drive
         # the supervisor with monotonic-anchored clocks.
@@ -652,7 +653,7 @@ class TestCrossRespawnDedup:
         fleet = _FakeFleet(size=1)
         policy = RetryPolicy(block_timeout=10.0, max_attempts=1,
                              retry_base_delay=0.0)
-        supervisor, result = _make_supervisor(fleet, [(2, 1024, None)], policy)
+        supervisor, result = _make_supervisor(fleet, [[(2, 1024, None)]], policy)
         supervisor.assign(now=0.0)
         supervisor.sweep(now=100.0)  # only attempt times out -> quarantine
         assert [o.index for o in result.quarantined] == [2]
@@ -667,7 +668,7 @@ class TestCrossRespawnDedup:
         fleet = _FakeFleet(size=1)
         policy = RetryPolicy(block_timeout=10.0, max_attempts=3,
                              retry_base_delay=0.0)
-        supervisor, result = _make_supervisor(fleet, [(0, 1024, None)], policy)
+        supervisor, result = _make_supervisor(fleet, [[(0, 1024, None)]], policy)
         supervisor.assign(now=0.0)
 
         # A straggler from a previous unit of a shared fleet: same wid,
@@ -725,6 +726,40 @@ class TestWorkerFleetReuse:
                 assert executor.total_retries > 0
             assert fleet.respawns > 0  # crashes really killed workers
             assert fleet.alive_workers() == 2  # ...and the fleet healed
+
+
+class TestFleetPerUnit:
+    """A unit without a persistent fleet opens one fleet for all its waves."""
+
+    def test_three_waves_construct_one_fleet(self, monkeypatch, tmp_path):
+        from repro.durable import runner
+
+        clean_result, clean_blocks = _clean_run("packed")
+        sizes = []
+        waves = []
+
+        class CountingFleet(runner.WorkerFleet):
+            def __init__(self, workers, **kwargs):
+                sizes.append(workers)
+                super().__init__(workers, **kwargs)
+
+        def counting_run_supervised(*args, **kwargs):
+            waves.append(kwargs["fleet"])
+            return run_supervised(*args, **kwargs)
+
+        run_supervised = runner.run_supervised
+        monkeypatch.setattr(runner, "WorkerFleet", CountingFleet)
+        monkeypatch.setattr(runner, "run_supervised", counting_run_supervised)
+
+        path = tmp_path / "ledger.jsonl"
+        # SHOTS is three blocks and _run checks early stopping every
+        # block, so the unit runs in three waves.
+        result, _ = _run(path, workers=2)
+        assert sizes == [2]
+        assert len(waves) == 3
+        assert all(fleet is waves[0] and fleet.closed for fleet in waves)
+        assert result.logical_errors == clean_result.logical_errors
+        assert parse_ledger(path).blocks == clean_blocks
 
 
 _FLEET_OWNER = """

@@ -6,6 +6,9 @@ function of (circuit, seed, shots) — bit-identical for any ``workers`` or
 (the regression the old unbounded per-shot dict cache guarded poorly).
 """
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -307,6 +310,30 @@ class TestTierStatsPins:
         )
         assert result.decode_stats == self.MEMORY[name]
 
+    def test_chunked_memory_keeps_the_lru_across_chunks(self):
+        # Four one-block chunks inline: syndromes repeated from an earlier
+        # chunk are served by the decoder's LRU, which durable blocks clear.
+        result = run_memory_experiment(
+            _memory(), shots=4096, seed=0, chunk_size=1024
+        )
+        assert result.logical_errors == 173
+        assert result.decode_stats == {
+            "trivial": 4, "weight1": 64, "weight2": 0, "cached": 258,
+            "batched": 549, "full": 0, "unique": 875, "shots": 4096,
+            "lru_hits": 258, "lru_misses": 549,
+        }
+
+    def test_chunked_memory_on_two_workers(self):
+        # Each worker has its own LRU, so the cached/batched split depends
+        # on scheduling; the LRU-independent totals do not.
+        result = run_memory_experiment(
+            _memory(), shots=4096, seed=0, chunk_size=1024, workers=2
+        )
+        stats = result.decode_stats
+        assert result.logical_errors == 173
+        assert stats["unique"] == 875
+        assert stats["cached"] + stats["batched"] + stats["full"] == 807
+
     def test_correlated_comparison(self, path):
         from repro.core import LogicalProgram
         from repro.vlq import compare_architectures
@@ -317,3 +344,58 @@ class TestTierStatsPins:
             policy="surgery_only", correlated=True, executor=executor,
         )
         assert comparison.decode_totals() == self.COMPARE
+
+
+class _DiesInWorker:
+    """Sampler that kills the worker process sampling block ``block``.
+
+    Module-level so the worker fleet can pickle it.  In the process that
+    built it (an inline run) it samples normally.
+    """
+
+    def __init__(self, inner, block: int):
+        self.inner = inner
+        self.block = block
+        self.owner = os.getpid()
+
+    def sample(self, shots, seed):
+        if seed.spawn_key == (self.block,) and os.getpid() != self.owner:
+            os._exit(1)
+        return self.inner.sample(shots, seed)
+
+
+class TestDeadWorker:
+    """A worker dying mid-run fails the call instead of hanging it."""
+
+    def test_dead_worker_raises_naming_its_block(self):
+        from repro.sim.engine import (
+            BlockExecutionError,
+            count_logical_errors,
+            make_sampler,
+        )
+        from repro.sim.experiment import prepare_decoding
+
+        memory = _memory()
+        setup = prepare_decoding(memory)
+        sampler = _DiesInWorker(make_sampler(memory.circuit, "packed"), block=2)
+
+        def hung(signum, frame):
+            raise TimeoutError("count_logical_errors hung on a dead worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BlockExecutionError) as excinfo:
+                count_logical_errors(
+                    memory.circuit, setup.decoder, setup.basis_detectors,
+                    setup.basis_observables, shots=4096, seed=0, workers=2,
+                    chunk_size=1024, sampler=sampler,
+                )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        err = excinfo.value
+        assert err.block == 2
+        assert "block 2" in str(err)
+        assert "spawn_key=(2,)" in str(err)
+        assert "died" in str(err)
