@@ -248,6 +248,10 @@ def _run_durable_plain(args, spec: dict, body) -> int:
                 print(f"error: {flag} requires --ledger", file=sys.stderr)
                 return 2
         return body(None)
+    if args.chunk_size is not None:
+        print("error: --chunk-size does not apply with --ledger (durable "
+              "runs checkpoint one 1024-shot block per task)", file=sys.stderr)
+        return 2
     from repro.durable import (
         CampaignInterrupted,
         DurableExecutor,

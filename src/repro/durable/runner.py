@@ -132,6 +132,7 @@ class DurableExecutor:
         #: sees only durable state and cannot alter results
         self.on_block = on_block
         self.units: list[UnitOutcome] = []
+        self._labels: set[str] = set()  # unit labels count() has accepted
         self.total_retries = 0
         self._stop_requested = False
         self._stop_reason = ""
@@ -143,10 +144,6 @@ class DurableExecutor:
         """Ask the campaign to stop at the next safe point (idempotent)."""
         self._stop_requested = True
         self._stop_reason = self._stop_reason or reason
-
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop_requested
 
     def _interrupted(self, unit: str, completed: int) -> CampaignInterrupted:
         # On a torn-write injection the tail of the ledger is already a
@@ -186,6 +183,12 @@ class DurableExecutor:
         The outcome's ``stats`` are the unit's decode-tier totals over
         its completed blocks.
         """
+        if unit in self._labels:
+            raise ValueError(
+                f"unit {unit!r} already ran on this executor; give each "
+                f"unit of a campaign its own label"
+            )
+        self._labels.add(unit)
         if self._stop_requested:
             raise self._interrupted(unit, 0)
 

@@ -10,8 +10,8 @@ engine (``repro.sim.engine.count_logical_errors``) submits its chunks.
 ``multiprocessing.Pool`` cannot express the failure model either needs —
 a hung worker blocks ``imap`` forever, and a crashed worker poisons the
 pool, so the caller never returns.  This module runs raw ``Process``
-workers, each with its own task queue and a shared result queue, under
-a parent-side supervisor that:
+workers, each on its own duplex pipe to the parent, under a parent-side
+supervisor that:
 
 - enforces a **per-task deadline** (``RetryPolicy.block_timeout``) and
   checks ``Process.is_alive`` every poll tick, so hangs and crashes are
@@ -57,8 +57,8 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_mod
 import signal
 import threading
 import time
@@ -142,9 +142,9 @@ def _exit_when_orphaned(owner: int) -> None:
     The owner is the worker's parent (fork and spawn start methods), so
     its death shows as a reparenting.  A SIGKILLed owner never sends the
     shutdown sentinel, and it can die halfway through writing a message,
-    leaving the worker blocked in a pipe read that never completes (the
-    worker holds the queue's write end itself, so no EOF arrives).  The
-    check therefore runs in its own thread rather than between messages.
+    leaving the worker blocked in a pipe read that never completes (fork
+    gives it and its later siblings copies of the owner's end, so no EOF
+    arrives).  The check therefore runs in its own thread.
     The owner's pid is passed in rather than read at worker start, so an
     owner killed before the worker ran its first line is noticed too.
     """
@@ -153,10 +153,11 @@ def _exit_when_orphaned(owner: int) -> None:
     os._exit(0)
 
 
-def _worker_main(wid: int, task_q, result_q, owner: int) -> None:
+def _worker_main(wid: int, conn, owner: int) -> None:
     """Worker loop: serve ``cfg``/``task`` messages until the None sentinel.
 
-    A ``("cfg", epoch, worker_args, fault)`` message (re)arms the worker
+    Messages arrive on ``conn``, which also carries the replies.  A
+    ``("cfg", epoch, worker_args, fault)`` message (re)arms the worker
     for a new epoch; task messages from any other epoch are silently
     dropped (they belong to a unit the supervisor already finished or
     abandoned).  Failures are reported in-band; a genuinely dying worker
@@ -178,7 +179,7 @@ def _worker_main(wid: int, task_q, result_q, owner: int) -> None:
     epoch = None
     sampler = decoder = basis_ids = obs_ids = fault = None
     while True:
-        message = task_q.get()
+        message = conn.recv()
         if message is None:
             return
         if message[0] == "cfg":
@@ -214,13 +215,20 @@ def _worker_main(wid: int, task_q, result_q, owner: int) -> None:
                     perf_counter() - t0
                 )
                 delta = obs.snapshot_delta(reg.snapshot(), before)
-            result_q.put(
-                ("ok", task_epoch, wid, index, attempt, errors, stats, delta)
-            )
+            reply = ("ok", task_epoch, wid, index, attempt, errors, stats, delta)
         except Exception as exc:  # report and keep serving
-            result_q.put(
-                ("err", task_epoch, wid, index, attempt, f"{type(exc).__name__}: {exc}")
+            reply = (
+                "err", task_epoch, wid, index, attempt, f"{type(exc).__name__}: {exc}"
             )
+        conn.send(reply)
+
+
+def _send(conn, message) -> None:
+    """Send to a worker; a dead one's torn pipe is left to the liveness sweep."""
+    try:
+        conn.send(message)
+    except ConnectionError:
+        pass
 
 
 class WorkerFleet:
@@ -235,21 +243,21 @@ class WorkerFleet:
     one fleet serves every unit of every job, re-armed per unit via
     :meth:`configure`.
 
-    Epochs: every ``configure`` increments ``epoch`` and ships the new
-    ``worker_args`` to each live worker.  Workers tag results with the
-    task's epoch, and both workers and supervisor drop cross-epoch
-    messages, so a result from a previous unit can never leak into the
-    current one.
+    Channels: each worker has one duplex pipe (``slot["conn"]``) that
+    carries ``cfg``, tasks and the sentinel out and its results back, so
+    a dying worker can only tear its own pipe.  Sends are synchronous:
+    the parent only sends to idle workers (``cfg`` between calls, a task
+    to a slot with none in flight, the sentinel at close; ``configure``
+    respawns a worker still busy), and ``cfg`` (the pickled sampler and
+    decoder, ~0.2 MB at d=7) blocks only until the worker has read it.
+
+    Epochs: every ``configure`` increments ``epoch``; workers and the
+    supervisor both drop messages from another epoch (module docstring).
     """
 
     def __init__(self, workers: int, *, context: str | None = None):
-        self._ctx = (
-            multiprocessing.get_context(context)
-            if context
-            else multiprocessing.get_context()
-        )
+        self._ctx = multiprocessing.get_context(context)
         self.size = max(1, int(workers))
-        self.result_q = self._ctx.Queue()
         self.epoch = 0
         self.respawns = 0
         self.closed = False
@@ -260,14 +268,13 @@ class WorkerFleet:
     # Process lifecycle
     # ------------------------------------------------------------------
     def _spawn(self, wid: int) -> dict:
-        task_q = self._ctx.Queue()
+        conn, child = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_worker_main,
-            args=(wid, task_q, self.result_q, os.getpid()),
-            daemon=True,
+            target=_worker_main, args=(wid, child, os.getpid()), daemon=True
         )
         proc.start()
-        return {"proc": proc, "q": task_q, "busy": None}
+        child.close()  # the worker's copy is the last: its death reads EOF
+        return {"proc": proc, "conn": conn, "busy": None}
 
     def configure(self, worker_args, fault=None) -> int:
         """Arm every worker for a new epoch; returns the epoch number."""
@@ -276,12 +283,10 @@ class WorkerFleet:
         self.epoch += 1
         self._config = (worker_args, fault)
         for wid, slot in enumerate(self.slots):
-            slot["busy"] = None
-            if not slot["proc"].is_alive():
-                self.slots[wid] = slot = self._spawn(wid)
-                self.respawns += 1
-                obs.counter("repro_durable_respawns_total").inc()
-            slot["q"].put(("cfg", self.epoch, worker_args, fault))
+            if slot["busy"] is None and slot["proc"].is_alive():
+                _send(slot["conn"], ("cfg", self.epoch, worker_args, fault))
+            else:  # dead, or still running a task of an abandoned call
+                self.respawn(wid)
         return self.epoch
 
     def respawn(self, wid: int) -> None:
@@ -289,10 +294,10 @@ class WorkerFleet:
         slot = self.slots[wid]
         slot["proc"].terminate()
         slot["proc"].join(timeout=5.0)
-        replacement = self._spawn(wid)
+        slot["conn"].close()
+        self.slots[wid] = replacement = self._spawn(wid)
         if self._config is not None:
-            replacement["q"].put(("cfg", self.epoch, *self._config))
-        self.slots[wid] = replacement
+            _send(replacement["conn"], ("cfg", self.epoch, *self._config))
         self.respawns += 1
         obs.counter("repro_durable_respawns_total").inc()
 
@@ -319,17 +324,14 @@ class WorkerFleet:
             return
         self.closed = True
         for slot in self.slots:
-            try:
-                slot["q"].put_nowait(None)
-            except Exception:
-                pass
+            _send(slot["conn"], None)
         deadline = time.monotonic() + 5.0
         for slot in self.slots:
             slot["proc"].join(timeout=max(0.1, deadline - time.monotonic()))
             if slot["proc"].is_alive():
                 slot["proc"].terminate()
                 slot["proc"].join(timeout=1.0)
-        self.result_q.cancel_join_thread()
+            slot["conn"].close()
 
     def __enter__(self) -> WorkerFleet:
         return self
@@ -457,14 +459,10 @@ def _run_inline(
                 obs.histogram("repro_durable_block_seconds").observe(
                     perf_counter() - t0
                 )
-        except InjectedHang as exc:
-            retry = fail(index, shots, attempt, f"timeout: {exc}")
-            if retry is not None:
-                time.sleep(retry[2])
-                pending.insert(0, (blocks, retry[1]))
-            continue
         except Exception as exc:
-            retry = fail(index, shots, attempt, f"{type(exc).__name__}: {exc}")
+            reason = (f"timeout: {exc}" if isinstance(exc, InjectedHang)
+                      else f"{type(exc).__name__}: {exc}")
+            retry = fail(index, shots, attempt, reason)
             if retry is not None:
                 time.sleep(retry[2])
                 pending.insert(0, (blocks, retry[1]))
@@ -532,12 +530,14 @@ class _PoolSupervisor:
             if not busy and (self.draining or not self.pending):
                 break
 
-            # Drain one result (short timeout doubles as the poll tick).
-            try:
-                message = self.fleet.result_q.get(timeout=0.05)
-            except (queue_mod.Empty, EOFError, OSError):
-                message = None
-            if message is not None:
+            # Drain ready results (the timeout doubles as the poll tick);
+            # a dead worker's pipe reads EOF and the sweep respawns it.
+            conns = [slot["conn"] for slot in self.fleet.slots]
+            for conn in multiprocessing.connection.wait(conns, timeout=0.05):
+                try:
+                    message = conn.recv()
+                except EOFError:
+                    continue
                 self.handle_message(message)
 
             self.sweep(time.monotonic())
@@ -555,9 +555,10 @@ class _PoolSupervisor:
             task = min(ready)
             self.pending.remove(task)
             _, index, attempt = task
-            slot["q"].put(
+            _send(
+                slot["conn"],
                 ("task", self.epoch, self.unit, self.keep_lru,
-                 self.by_index[index], attempt)
+                 self.by_index[index], attempt),
             )
             slot["busy"] = (index, attempt, now + self.policy.block_timeout)
             obs.counter("repro_durable_attempts_total").inc()
@@ -584,7 +585,6 @@ class _PoolSupervisor:
         if (index, attempt) in self.handled:
             return  # late result from an attempt we already failed
         self.handled.add((index, attempt))
-        shots = _task_shots(self.by_index[index])
         if kind == "ok":
             errors, stats, delta = payload
             reg = obs.active()
@@ -592,14 +592,12 @@ class _PoolSupervisor:
                 reg.merge_snapshot(delta)
             self.block_done(
                 BlockOutcome(
-                    index=index, shots=shots, errors=errors,
-                    stats=stats, attempts=attempt + 1,
+                    index=index, shots=_task_shots(self.by_index[index]),
+                    errors=errors, stats=stats, attempts=attempt + 1,
                 )
             )
         else:
-            retry = self.fail(index, shots, attempt, payload[0])
-            if retry is not None and not self.draining:
-                self.pending.append((time.monotonic() + retry[2], index, retry[1]))
+            self.fail_attempt(index, attempt, payload[0])
         if slot["busy"] is not None and slot["busy"][:2] == (index, attempt):
             slot["busy"] = None
 
@@ -615,7 +613,6 @@ class _PoolSupervisor:
                 index, attempt, _ = busy_entry
                 if (index, attempt) not in self.handled:
                     self.handled.add((index, attempt))
-                    shots = _task_shots(self.by_index[index])
                     reason = (
                         f"worker {wid} exceeded {self.policy.block_timeout}s "
                         f"block timeout"
@@ -623,9 +620,12 @@ class _PoolSupervisor:
                         else f"worker {wid} died (exitcode "
                         f"{slot['proc'].exitcode})"
                     )
-                    retry = self.fail(index, shots, attempt, reason)
-                    if retry is not None and not self.draining:
-                        self.pending.append(
-                            (time.monotonic() + retry[2], index, retry[1])
-                        )
+                    self.fail_attempt(index, attempt, reason)
             self.fleet.respawn(wid)
+
+    def fail_attempt(self, index: int, attempt: int, reason: str) -> None:
+        """Fail one attempt and re-queue its retry (none while draining)."""
+        shots = _task_shots(self.by_index[index])
+        retry = self.fail(index, shots, attempt, reason)
+        if retry is not None and not self.draining:
+            self.pending.append((time.monotonic() + retry[2], index, retry[1]))

@@ -469,12 +469,53 @@ class TestCLIValidation:
             assert main(["memory", "--shots", "60", *flag]) == 2
             assert "requires --ledger" in capsys.readouterr().err
 
+    def test_chunk_size_rejected_with_ledger(self, capsys, tmp_path):
+        from repro.__main__ import main
+        ledger = tmp_path / "x.jsonl"
+        argv = ["memory", "--shots", "2048", "--ledger", str(ledger),
+                "--chunk-size", "1024"]
+        assert main(argv) == 2
+        assert "--chunk-size does not apply with --ledger" in (
+            capsys.readouterr().err
+        )
+        assert not ledger.exists()
+
     def test_scheme_choices_pin_threshold_schemes(self):
         # __main__ hardcodes the choices to avoid importing the threshold
         # stack at parser-build time; this pins the two lists together.
         from repro.__main__ import _SCHEME_CHOICES
         from repro.threshold import SCHEMES
         assert _SCHEME_CHOICES == SCHEMES
+
+
+class TestUnitLabels:
+    """A unit label runs at most once per executor: a second unit under
+    the same label would write duplicate block records and leave a
+    ledger that can never be resumed."""
+
+    def test_repeated_label_is_refused_before_any_block_runs(self, tmp_path):
+        path = tmp_path / "twice.jsonl"
+        ledger = RunLedger(path, SPEC)
+        executor = DurableExecutor(ledger, policy=FAST)
+        view = executor.with_prefix("p=1/")
+        try:
+            run_memory_experiment(_MEMORY, shots=SHOTS, seed=SEED,
+                                  executor=executor)
+            with pytest.raises(ValueError, match="unit 'memory' already ran"):
+                run_memory_experiment(_MEMORY, shots=SHOTS, seed=SEED,
+                                      executor=executor)
+            run_memory_experiment(_MEMORY, shots=SHOTS, seed=SEED,
+                                  executor=view)
+            with pytest.raises(ValueError,
+                               match="unit 'p=1/memory' already ran"):
+                run_memory_experiment(_MEMORY, shots=SHOTS, seed=SEED,
+                                      executor=view)
+        finally:
+            ledger.close()
+        blocks = parse_ledger(path).blocks
+        assert {unit: len(b) for unit, b in blocks.items()} == {
+            "memory": 3, "p=1/memory": 3,
+        }
 
 
 class TestCLIDurable:
@@ -540,12 +581,12 @@ class _FakeProc:
         return self.alive
 
 
-class _FakeQueue:
+class _FakeConn:
     def __init__(self):
-        self.items = []
+        self.sent = []
 
-    def put(self, item):
-        self.items.append(item)
+    def send(self, message):
+        self.sent.append(message)
 
 
 class _FakeFleet:
@@ -553,7 +594,7 @@ class _FakeFleet:
 
     def __init__(self, size=1):
         self.slots = [
-            {"proc": _FakeProc(), "q": _FakeQueue(), "busy": None}
+            {"proc": _FakeProc(), "conn": _FakeConn(), "busy": None}
             for _ in range(size)
         ]
         self.epoch = 0
@@ -567,11 +608,14 @@ class _FakeFleet:
 
     def respawn(self, wid):
         self.respawned.append(wid)
-        self.slots[wid] = {"proc": _FakeProc(), "q": _FakeQueue(), "busy": None}
+        self.slots[wid] = {"proc": _FakeProc(), "conn": _FakeConn(), "busy": None}
 
 
-def _make_supervisor(fleet, tasks, policy):
-    """A _PoolSupervisor wired to recording callbacks (no processes)."""
+def _make_supervisor(fleet, tasks, policy, failures=None):
+    """A _PoolSupervisor wired to recording callbacks (no processes).
+
+    ``failures``, when given, collects every failed attempt's reason.
+    """
     from repro.durable.supervise import (
         BlockOutcome,
         SupervisedResult,
@@ -584,6 +628,8 @@ def _make_supervisor(fleet, tasks, policy):
         result.completed.append(outcome)
 
     def fail(index, shots, attempt, reason):
+        if failures is not None:
+            failures.append(reason)
         next_attempt = attempt + 1
         if next_attempt >= policy.max_attempts:
             result.quarantined.append(
@@ -684,6 +730,67 @@ class TestCrossRespawnDedup:
             ("ok", supervisor.epoch, 0, 0, 0, 2, {"shots": 1024}, None)
         )
         assert [o.errors for o in result.completed] == [2]
+
+
+class _BrokenConn:
+    """Parent end of the pipe of a worker that has already died."""
+
+    def send(self, message):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestSendToDeadWorker:
+    """A send to a worker that died since the last sweep is not raised
+    out of the supervisor: the slot stays busy, so the sweep fails the
+    attempt as a dead worker and re-queues it.  And the fleet never
+    sends to a worker still busy with a task, which could block."""
+
+    def test_assign_then_sweep_fails_and_requeues(self):
+        fleet = _FakeFleet(size=1)
+        fleet.slots[0]["conn"] = _BrokenConn()
+        fleet.slots[0]["proc"].alive = False
+        policy = RetryPolicy(block_timeout=10.0, max_attempts=3,
+                             retry_base_delay=0.0)
+        failures = []
+        supervisor, result = _make_supervisor(
+            fleet, [[(4, 1024, None)]], policy, failures
+        )
+
+        supervisor.assign(now=0.0)
+        assert fleet.slots[0]["busy"][:2] == (4, 0)
+
+        supervisor.sweep(now=1.0)
+        assert len(failures) == 1 and failures[0].startswith("worker 0 died")
+        assert fleet.respawned == [0]
+        assert result.retries == 1
+        assert result.completed == [] and result.quarantined == []
+        assert [task[1:] for task in supervisor.pending] == [(4, 1)]
+        assert fleet.slots[0]["busy"] is None
+
+    def test_send_on_a_torn_pipe_is_dropped(self):
+        import multiprocessing
+
+        from repro.durable.supervise import _send
+
+        parent, child = multiprocessing.Pipe()
+        child.close()
+        try:
+            _send(parent, ("task", 1))
+        finally:
+            parent.close()
+
+    def test_configure_respawns_a_worker_left_busy(self):
+        from repro.durable import WorkerFleet
+
+        with WorkerFleet(1) as fleet:
+            pid = fleet.worker_pids()[0]
+            # A call that raised mid-task leaves its slot busy.
+            fleet.slots[0]["busy"] = (0, 0, float("inf"))
+            fleet.configure((None, None, None, None))
+            assert fleet.respawns == 1
+            assert fleet.worker_pids()[0] != pid
+            assert fleet.slots[0]["busy"] is None
+            assert fleet.alive_workers() == 1
 
 
 class TestWorkerFleetReuse:
