@@ -12,7 +12,7 @@ Commands
 ``compare``     program-level compact-vs-natural architecture comparison;
                 ``--correlated`` adds merged-patch joint decoding of the
                 lattice-surgery pairs and an independent-vs-joint report
-``lint``        static analysis of the preset matrix: symbolic GF(2)
+``lint``        static analysis of the preset matrix: backward-sweep
                 determinism proofs of every lowered circuit shape,
                 schedule dataflow checks and decoder-graph validation
                 (``--json`` for machine-readable output; exit code 1 on
@@ -595,8 +595,8 @@ def _compare_body(args, executor, program, embeddings, refreshes, policy) -> int
         print(f"joint-graph cache: {joint_graph['entries']} shapes, "
               f"{joint_graph['hits']} hits, {joint_graph['misses']} misses")
         oracle = " (+ tableau oracle)" if args.oracle_cert else ""
-        print(f"joint lowerings proven deterministic by symbolic GF(2) "
-              f"propagation{oracle}: {joint['misses']} shape(s)")
+        print(f"joint lowerings proven deterministic by the backward "
+              f"sweep{oracle}: {joint['misses']} shape(s)")
     totals = comparison.decode_totals()
     print(_tier_summary(totals))
     balanced = sum(totals.get(t, 0) for t in TIER_NAMES) == totals.get("unique", 0)
@@ -894,14 +894,14 @@ def main(argv: list[str] | None = None) -> int:
                               "paper's clock is d; 1 keeps sweeps fast)")
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--oracle-cert", action="store_true",
-                         help="cross-check the symbolic determinism proofs "
+                         help="cross-check the determinism proofs "
                               "against the sampled stabilizer-tableau oracle")
     _add_engine_args(compare)
     _add_durable_args(compare)
     _add_obs_args(compare)
 
     lint = sub.add_parser(
-        "lint", help="static analysis of the preset matrix (symbolic GF(2) "
+        "lint", help="static analysis of the preset matrix (determinism "
                      "proofs, schedule dataflow checks, decoder-graph "
                      "validation); exits 1 on any error-severity finding"
     )
@@ -917,7 +917,7 @@ def main(argv: list[str] | None = None) -> int:
     lint.add_argument("--out", default=None,
                       help="also write the JSON report to this path")
     lint.add_argument("--oracle-cert", action="store_true",
-                      help="cross-check every symbolic proof against the "
+                      help="cross-check every determinism proof against the "
                            "sampled stabilizer-tableau oracle")
     lint.add_argument("--ledger", default=None, metavar="PATH",
                       help="additionally consistency-check a durable run "

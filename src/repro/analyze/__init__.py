@@ -1,10 +1,12 @@
 """Static-analysis passes over circuits, schedules and decoder graphs.
 
-``symbolic`` proves detector/observable determinism by symbolic GF(2)
-propagation (the static replacement for per-shape tableau runs),
-``schedule`` lints compiled schedules, ``graph`` validates decoding
-graphs and the flat union-find mirrors, and ``lint`` drives all three
-over the preset matrix for the ``repro lint`` CLI subcommand.
+``symbolic`` proves detector/observable determinism with the backward
+sensitivity sweep that also extracts the fault mechanisms
+(:mod:`repro.dem.sensitivity`) and holds the tableau oracle that
+cross-checks it, ``schedule`` lints compiled schedules, ``graph``
+validates decoding graphs and the flat union-find mirrors, and ``lint``
+drives all three over the preset matrix for the ``repro lint`` CLI
+subcommand.
 """
 
 from repro.analyze.diagnostics import CODES, SEVERITIES, Diagnostic, LintReport
@@ -13,10 +15,8 @@ from repro.analyze.lint import lint_instruments, lint_matrix
 from repro.analyze.schedule import lint_schedule, static_refresh_violations
 from repro.analyze.symbolic import (
     SymbolicCertificationError,
-    SymbolicRun,
-    SymbolicTableau,
     certify_deterministic,
-    propagate,
+    oracle_firings,
     verify_circuit,
 )
 
@@ -26,15 +26,13 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "SymbolicCertificationError",
-    "SymbolicRun",
-    "SymbolicTableau",
     "certify_deterministic",
     "lint_graph",
     "lint_instruments",
     "lint_matrix",
     "lint_schedule",
     "lint_unionfind",
-    "propagate",
+    "oracle_firings",
     "static_refresh_violations",
     "verify_circuit",
 ]

@@ -6,17 +6,17 @@ embeddings × distances × refresh policies, and for each point:
 * statically lints the compiled schedule (:mod:`repro.analyze.schedule`);
 * lowers every *distinct* timeline shape (single-qubit memory circuits
   and, under the surgery CNOT policy, merged-patch joint circuits) and
-  proves its detectors/observables deterministic by symbolic GF(2)
-  propagation (:mod:`repro.analyze.symbolic`), in strict-init mode so a
+  proves its detectors/observables deterministic with the backward
+  sweep (:mod:`repro.analyze.symbolic`), in strict-init mode so a
   dropped reset also surfaces;
 * builds the DEM/matching-graph/union-find stack for each distinct
   shape and validates it (:mod:`repro.analyze.graph`).
 
 Shapes are deduplicated across the whole sweep, mirroring the campaign
 BuildCaches, so the driver stays fast enough for CI.  With
-``oracle=True`` every symbolically-certified circuit is re-certified by
-the stabilizer-tableau oracle and any disagreement is reported as an
-internal SYM001 finding (the two must agree; a pinned test asserts it).
+``oracle=True`` every certified circuit is re-certified by the
+stabilizer-tableau oracle and any disagreement is reported as an
+internal SYM002 finding (the two must agree; a pinned test asserts it).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.analyze.diagnostics import Diagnostic, LintReport
 from repro.analyze.graph import lint_graph
 from repro.analyze.schedule import lint_schedule
-from repro.analyze.symbolic import verify_circuit
+from repro.analyze.symbolic import oracle_firings, verify_circuit
 from repro.core.addresses import Machine
 from repro.core.compiler import compile_program
 from repro.decoders import MatchingGraph, UnionFindDecoder
@@ -72,42 +72,17 @@ def lint_instruments(specs=None) -> LintReport:
 
 
 def _oracle_check(circuit, location: str) -> list[Diagnostic]:
-    """Cross-check the symbolic proof against the tableau oracle."""
-    from repro.stabilizer import TableauSimulator
-
-    clean = circuit.without_noise()
-    diagnostics = []
-    for seed in (0, 1):
-        record = TableauSimulator(clean.num_qubits, seed=seed).run(clean)
-        for i, det in enumerate(clean.detectors):
-            value = 0
-            for m in det.measurements:
-                value ^= record[m]
-            if value:
-                diagnostics.append(
-                    Diagnostic(
-                        "SYM002",
-                        "error",
-                        f"{location}:oracle",
-                        f"tableau oracle (seed {seed}) fires detector {i} "
-                        "on a circuit the symbolic proof passed",
-                    )
-                )
-        for obs in clean.observables:
-            value = 0
-            for m in obs.measurements:
-                value ^= record[m]
-            if value:
-                diagnostics.append(
-                    Diagnostic(
-                        "SYM002",
-                        "error",
-                        f"{location}:oracle",
-                        f"tableau oracle (seed {seed}) flips observable "
-                        f"{obs.name} on a circuit the symbolic proof passed",
-                    )
-                )
-    return diagnostics
+    """Cross-check the determinism proof against the tableau oracle."""
+    return [
+        Diagnostic(
+            "SYM002",
+            "error",
+            f"{location}:oracle",
+            f"tableau oracle (seed {seed}) fires {kind} {index} "
+            "on a circuit the determinism proof passed",
+        )
+        for seed, kind, index in oracle_firings(circuit)
+    ]
 
 
 def lint_matrix(

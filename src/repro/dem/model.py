@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.circuits import Circuit
-from repro.dem.sensitivity import extract_fault_mechanisms
+from repro.dem.sensitivity import extract_fault_mechanisms, set_bits
 
 __all__ = ["DetectorErrorModel", "FaultMechanism"]
 
@@ -45,15 +46,12 @@ class DetectorErrorModel:
         self.detector_coords = [det.coord for det in circuit.detectors]
         self.observable_basis = [obs.basis for obs in circuit.observables]
         self.faults: list[FaultMechanism] = []
+        nd = self.num_detectors
         for mask, probability in extract_fault_mechanisms(circuit).items():
-            detectors = tuple(
-                i for i in range(self.num_detectors) if mask >> i & 1
-            )
-            observables = tuple(
-                j
-                for j in range(self.num_observables)
-                if mask >> (self.num_detectors + j) & 1
-            )
+            bits = list(set_bits(mask))
+            split = bisect_left(bits, nd)
+            detectors = tuple(bits[:split])
+            observables = tuple(b - nd for b in bits[split:])
             self.faults.append(FaultMechanism(probability, detectors, observables))
         self.faults.sort(key=lambda f: (f.detectors, f.observables))
 

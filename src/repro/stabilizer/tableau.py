@@ -21,26 +21,19 @@ __all__ = ["TableauSimulator"]
 
 
 def _g_exponents(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray) -> int:
-    """Sum of Aaronson–Gottesman ``g`` phase exponents over all qubits.
+    """Exponent of ``i`` (mod 4) picked up by the row product ``P1 · P2``.
 
-    ``g`` gives the exponent of ``i`` produced when multiplying the
-    single-qubit Paulis ``(x1, z1) * (x2, z2)`` in row convention.
+    Writing a Hermitian Pauli as ``i^(x·z) X^x Z^z``, the product collects
+    ``i^(x1·z1 + x2·z2 − x3·z3)`` from the prefactors, with
+    ``(x3, z3) = (x1 ⊕ x2, z1 ⊕ z2)``, and ``(−1)^(z1·x2)`` from moving
+    ``Z^z1`` past ``X^x2`` — the sum of the Aaronson–Gottesman ``g``
+    terms over all qubits, mod 4.
     """
-    x1i = x1.astype(np.int8)
-    z1i = z1.astype(np.int8)
-    x2i = x2.astype(np.int8)
-    z2i = z2.astype(np.int8)
-    # case (1, 0) = X:  g = z2 * (2*x2 - 1)
-    # case (1, 1) = Y:  g = z2 - x2
-    # case (0, 1) = Z:  g = x2 * (1 - 2*z2)
-    g = np.zeros_like(x1i)
-    is_x = (x1i == 1) & (z1i == 0)
-    is_y = (x1i == 1) & (z1i == 1)
-    is_z = (x1i == 0) & (z1i == 1)
-    g = np.where(is_x, z2i * (2 * x2i - 1), g)
-    g = np.where(is_y, z2i - x2i, g)
-    g = np.where(is_z, x2i * (1 - 2 * z2i), g)
-    return int(g.sum())
+    count = np.count_nonzero
+    return (
+        count(x1 & z1) + count(x2 & z2) - count((x1 ^ x2) & (z1 ^ z2))
+        + 2 * count(z1 & x2)
+    ) % 4
 
 
 class TableauSimulator:
@@ -130,11 +123,12 @@ class TableauSimulator:
         self.x[h] ^= self.x[i]
         self.z[h] ^= self.z[i]
 
-    def _anticommutes(self, row: int, xs: np.ndarray, zs: np.ndarray) -> bool:
-        overlap = np.count_nonzero(self.x[row] & zs) + np.count_nonzero(
-            self.z[row] & xs
+    def _anticommuting_rows(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """Mask of the tableau rows that anticommute with the Pauli (xs, zs)."""
+        overlap = np.count_nonzero(self.x & zs, axis=1) + np.count_nonzero(
+            self.z & xs, axis=1
         )
-        return overlap % 2 == 1
+        return (overlap & 1).astype(bool)
 
     @staticmethod
     def _pauli_sign_bit(pauli: PauliString) -> int:
@@ -160,22 +154,35 @@ class TableauSimulator:
         if pauli.is_identity():
             return self._pauli_sign_bit(pauli)
         xs, zs = pauli.xs, pauli.zs
-        sign_bit = self._pauli_sign_bit(pauli)
-        n = self.n
+        return self._measure(
+            xs, zs, self._pauli_sign_bit(pauli), self._anticommuting_rows(xs, zs),
+            forced_outcome,
+        )
 
-        anti_stab = [
-            row for row in range(n, 2 * n) if self._anticommutes(row, xs, zs)
-        ]
-        if anti_stab:
-            p = anti_stab[0]
+    def _measure(
+        self,
+        xs: np.ndarray,
+        zs: np.ndarray,
+        sign_bit: int,
+        anti: np.ndarray,
+        forced_outcome: int | None,
+    ) -> int:
+        """Measure the non-identity Pauli ``(-1)^sign_bit · (xs, zs)``.
+
+        ``anti`` masks the rows anticommuting with it; the row products
+        below never change that, so one test up front serves throughout.
+        """
+        n = self.n
+        anti_stab = np.nonzero(anti[n:])[0]
+        if anti_stab.size:
+            p = n + int(anti_stab[0])
             # Skip row p and its partner destabilizer p-n: the partner is
             # overwritten below, and its product with row p would be
             # anti-Hermitian (they anticommute), breaking phase tracking.
-            for row in range(2 * n):
+            for row in np.nonzero(anti)[0]:
                 if row in (p, p - n):
                     continue
-                if self._anticommutes(row, xs, zs):
-                    self._rowsum(row, p)
+                self._rowsum(int(row), p)
             # Old stabilizer becomes the destabilizer of the new one.
             self.x[p - n] = self.x[p]
             self.z[p - n] = self.z[p]
@@ -193,22 +200,25 @@ class TableauSimulator:
         scratch_x = np.zeros(n, dtype=bool)
         scratch_z = np.zeros(n, dtype=bool)
         scratch_r = 0
-        for i in range(n):
-            if self._anticommutes(i, xs, zs):
-                exponent = _g_exponents(self.x[n + i], self.z[n + i], scratch_x, scratch_z)
-                total = (2 * scratch_r + 2 * int(self.r[n + i]) + exponent) % 4
-                if total not in (0, 2):  # pragma: no cover
-                    raise AssertionError("scratch rowsum produced imaginary phase")
-                scratch_r = total // 2
-                scratch_x ^= self.x[n + i]
-                scratch_z ^= self.z[n + i]
+        for row in n + np.nonzero(anti[:n])[0]:
+            exponent = _g_exponents(self.x[row], self.z[row], scratch_x, scratch_z)
+            total = (2 * scratch_r + 2 * int(self.r[row]) + exponent) % 4
+            if total not in (0, 2):  # pragma: no cover
+                raise AssertionError("scratch rowsum produced imaginary phase")
+            scratch_r = total // 2
+            scratch_x ^= self.x[row]
+            scratch_z ^= self.z[row]
         if not (np.array_equal(scratch_x, xs) and np.array_equal(scratch_z, zs)):
             raise AssertionError("deterministic measurement reconstruction failed")
         return (scratch_r + sign_bit) % 2
 
     def measure(self, q: int) -> int:
         """Measure qubit ``q`` in the Z basis."""
-        return self.measure_pauli(PauliString.single(self.n, q, "Z"))
+        xs = np.zeros(self.n, dtype=bool)
+        zs = np.zeros(self.n, dtype=bool)
+        zs[q] = True
+        # The rows anticommuting with Z_q are those with an X on q.
+        return self._measure(xs, zs, 0, self.x[:, q].copy(), None)
 
     def reset(self, q: int) -> None:
         """Reset qubit ``q`` to |0⟩."""
@@ -222,10 +232,8 @@ class TableauSimulator:
         """
         if pauli.is_identity():
             return 1 if self._pauli_sign_bit(pauli) == 0 else -1
-        xs, zs = pauli.xs, pauli.zs
-        for row in range(self.n, 2 * self.n):
-            if self._anticommutes(row, xs, zs):
-                return 0
+        if self._anticommuting_rows(pauli.xs, pauli.zs)[self.n:].any():
+            return 0
         clone = self.copy()
         outcome = clone.measure_pauli(pauli)
         return 1 if outcome == 0 else -1

@@ -285,8 +285,9 @@ def run_program_experiment(
     Surgery components of three or more qubits fall back to independent
     pieces and are reported via ``uncovered_windows``.
 
-    Certification is *static*: the symbolic GF(2) verifier
-    (:mod:`repro.analyze.symbolic`) proves each distinct shape's
+    Certification is *static*: one backward sweep over each distinct
+    shape's noiseless circuit (:mod:`repro.analyze.symbolic`, the pass
+    :mod:`repro.dem.sensitivity` also extracts the DEM with) proves its
     detectors and observables deterministic for every
     measurement-randomness outcome.  ``certify_lowering`` applies the
     same proof to every distinct single-qubit lowering; ``oracle_cert``

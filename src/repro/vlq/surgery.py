@@ -746,19 +746,18 @@ def certify_joint_deterministic(
 ) -> None:
     """Static determinism certificate of a joint lowering.
 
-    Proves by symbolic GF(2) propagation that every detector and both
-    per-patch observables are zero on the noiseless circuit for *every*
-    measurement-randomness outcome (the seam's joint-measurement
-    randomness must have been kept out of the detector map) — one
-    symbolic walk covers all seeds at once, and a failure names the
-    instruction whose randomness leaks.  Raises
+    Proves with the backward sensitivity sweep
+    (:func:`repro.analyze.symbolic.certify_deterministic`) that every
+    detector and both per-patch observables are zero on the noiseless
+    circuit for *every* measurement-randomness outcome — the seam's
+    joint-measurement randomness must have been kept out of the detector
+    map.  A failure names the instruction whose randomness leaks.  Raises
     :class:`JointCertificationError` otherwise.  The campaign runs this
     once per distinct joint circuit shape.
 
-    With ``oracle=True`` the pre-analyzer certificate — sampled runs of
-    the stabilizer tableau simulator at the given ``seeds`` — is run as
-    a cross-check after the proof (``repro``'s CLI exposes this as
-    ``--oracle-cert``).
+    With ``oracle=True`` the sampled tableau oracle at the given
+    ``seeds`` (:func:`certify_joint_oracle`) cross-checks the proof
+    (``repro``'s CLI exposes this as ``--oracle-cert``).
     """
     from repro.analyze.symbolic import SymbolicCertificationError, certify_deterministic
 
@@ -773,34 +772,25 @@ def certify_joint_deterministic(
 def certify_joint_oracle(
     memory: JointMemoryCircuit, seeds: Sequence[int] = (0, 1)
 ) -> None:
-    """Sampled tableau-simulator certificate (the pre-analyzer oracle).
+    """Sampled tableau-simulator certificate (the independent oracle).
 
-    Strips the noise channels and runs the circuit on the stabilizer
-    tableau simulator once per seed; every detector and observable must
-    come out zero.  Kept as an independent cross-check of the symbolic
-    proof — a pinned test asserts the two agree on every joint shape.
+    Every detector and observable must come out zero on the noiseless
+    circuit for each seed (:func:`repro.analyze.symbolic.oracle_firings`);
+    raises :class:`JointCertificationError` naming the first that fired.
     """
-    from repro.stabilizer import TableauSimulator
+    from repro.analyze.symbolic import oracle_firings
 
-    clean = memory.circuit.without_noise()
-    for seed in seeds:
-        record = TableauSimulator(clean.num_qubits, seed=seed).run(clean)
-        for i, det in enumerate(clean.detectors):
-            value = 0
-            for m in det.measurements:
-                value ^= record[m]
-            if value != 0:
-                raise JointCertificationError(
-                    f"{memory.scheme}: detector {i} at {det.coord} "
-                    f"(basis {det.basis}) fired on the noiseless circuit "
-                    f"(seed {seed})"
-                )
-        for obs in clean.observables:
-            value = 0
-            for m in obs.measurements:
-                value ^= record[m]
-            if value != 0:
-                raise JointCertificationError(
-                    f"{memory.scheme}: observable {obs.name} is not "
-                    f"deterministic on the noiseless circuit (seed {seed})"
-                )
+    fired = oracle_firings(memory.circuit, seeds)
+    if not fired:
+        return
+    seed, kind, index = fired[0]
+    if kind == "detector":
+        det = memory.circuit.detectors[index]
+        raise JointCertificationError(
+            f"{memory.scheme}: detector {index} at {det.coord} "
+            f"(basis {det.basis}) fired on the noiseless circuit (seed {seed})"
+        )
+    raise JointCertificationError(
+        f"{memory.scheme}: observable {memory.circuit.observables[index].name} "
+        f"is not deterministic on the noiseless circuit (seed {seed})"
+    )

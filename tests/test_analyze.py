@@ -2,10 +2,11 @@
 
 Three pillars:
 
-* **Agreement** — the symbolic GF(2) determinism proof must agree with
+* **Agreement** — the backward-sweep determinism proof must agree with
   the sampled stabilizer-tableau oracle on every lowered shape the
   campaign produces (single-qubit and merged-patch joint circuits, both
-  embeddings, both bases).
+  embeddings, both bases), and code for code on a corpus of memory and
+  campaign circuits and their mutants.
 * **Seeded defects** — every mutation in the corpus (stray gate before a
   final measurement, dropped reset, starved refresh deadline, orphaned
   detector, zeroed weight, skewed union-find mirror) must be flagged
@@ -13,6 +14,9 @@ Three pillars:
 * **Matrix** — the ``repro lint`` driver runs green over the preset
   matrix (the same gate CI enforces).
 """
+
+import copy
+import random
 
 import pytest
 
@@ -25,19 +29,19 @@ from repro.analyze import (
     lint_graph,
     lint_matrix,
     lint_schedule,
-    propagate,
+    oracle_firings,
     static_refresh_violations,
     verify_circuit,
 )
 from repro.analyze.schedule import _static_violation_ticks
-from repro.circuits import Circuit
+from repro.circuits import Circuit, GateKind, Instruction
 from repro.core import Machine, compile_program
 from repro.core.program import LogicalProgram
 from repro.decoders import MatchingGraph, UnionFindDecoder
 from repro.dem import DetectorErrorModel
 from repro.noise import MEMORY_HARDWARE, ErrorModel
-from repro.stabilizer import TableauSimulator
 from repro.surface_code import baseline_memory_circuit
+from repro.threshold import SCHEMES, build_memory_circuit
 from repro.vlq.campaign import run_program_experiment
 from repro.vlq.lowering import LoweringSpec, lower_timeline
 from repro.vlq.surgery import (
@@ -65,37 +69,27 @@ def surgery_schedule():
 
 def _oracle_agrees(circuit, seeds=(0, 1)):
     """The sampled-tableau verdict: True iff all detectors/observables 0."""
-    clean = circuit.without_noise()
-    for seed in seeds:
-        record = TableauSimulator(clean.num_qubits, seed=seed).run(clean)
-        for det in clean.detectors:
-            value = 0
-            for m in det.measurements:
-                value ^= record[m]
-            if value:
-                return False
-        for obs in clean.observables:
-            value = 0
-            for m in obs.measurements:
-                value ^= record[m]
-            if value:
-                return False
-    return True
+    return not oracle_firings(circuit, seeds)
 
 
 # ----------------------------------------------------------------------
-# Symbolic engine
+# Determinism proof
 # ----------------------------------------------------------------------
 class TestSymbolic:
-    def test_ghz_measurements_share_one_variable(self):
+    def test_ghz_pair_xor_clean_single_outcome_random(self):
         c = Circuit(2)
         c.h(0)
         c.cx(0, 1)
         c.measure(0, 1)
-        run = propagate(c)
-        # Both outcomes are the same fresh random bit: their XOR is 0.
-        assert run.expression([0]) == run.expression([1])
-        assert run.expression([0, 1]) == 0
+        c.add_detector([0, 1])  # both outcomes are one coin flip: XOR is 0
+        c.add_detector([0])  # one outcome alone is the coin flip
+        findings = verify_circuit(c)
+        assert [(f.code, f.location) for f in findings] == [
+            ("SYM001", "circuit:detector[1]@()")
+        ]
+        # Z_0 walks back through the CX unchanged and the H turns it into
+        # an X on the |0> the circuit starts from.
+        assert findings[0].message.endswith("the circuit start (qubit 0)")
 
     def test_reset_kills_randomness(self):
         c = Circuit(1)
@@ -103,14 +97,18 @@ class TestSymbolic:
         c.measure(0)
         c.reset(0)
         c.measure(0)
-        run = propagate(c)
-        assert run.expression([1]) == 0  # post-reset outcome is fixed 0
+        c.add_detector([1])  # post-reset outcome is fixed 0
+        assert verify_circuit(c) == []
+        assert verify_circuit(c, strict_init=True) == []
 
     def test_strict_init_exposes_initial_state(self):
         c = Circuit(1)
         c.measure(0)  # no reset first: outcome IS the initial state
-        run = propagate(c, strict_init=True)
-        assert run.expression([0]) != 0
+        c.add_detector([0])
+        assert verify_circuit(c) == []
+        findings = verify_circuit(c, strict_init=True)
+        assert [f.code for f in findings] == ["SYM003"]
+        assert "initial state of qubit 0" in findings[0].message
 
     @pytest.mark.parametrize("embedding", ["natural", "compact"])
     @pytest.mark.parametrize("basis", ["Z", "X"])
@@ -127,7 +125,7 @@ class TestSymbolic:
         memory = baseline_memory_circuit(3, error_model)
         circuit = memory.circuit.without_noise()
         # A stray Hadamard right before the final data measurements makes
-        # them random; the proof must name the random measurement.
+        # them random; the proof must name where the randomness enters.
         last_measure = max(
             i for i, ins in enumerate(circuit.instructions) if ins.name == "M"
         )
@@ -138,7 +136,16 @@ class TestSymbolic:
         )
         findings = verify_circuit(circuit)
         assert findings and all(f.code == "SYM001" for f in findings)
-        assert any("random measurement" in f.message for f in findings)
+        # Walking back, the X the stray H made on data qubit 0 spreads onto
+        # its Z-check ancilla 10, which the last round's reset collapses.
+        last_reset = max(
+            i for i, ins in enumerate(circuit.instructions[:last_measure])
+            if ins.name == "R"
+        )
+        assert all(
+            f.message.endswith(f"instruction #{last_reset} (R of qubit 10)")
+            for f in findings
+        )
         with pytest.raises(SymbolicCertificationError):
             certify_deterministic(circuit)
 
@@ -172,7 +179,7 @@ class TestSymbolic:
 
 
 # ----------------------------------------------------------------------
-# Symbolic vs tableau-oracle agreement (pinned)
+# Determinism proof vs tableau-oracle agreement (pinned)
 # ----------------------------------------------------------------------
 class TestOracleAgreement:
     @pytest.mark.parametrize("embedding", ["natural", "compact"])
@@ -190,9 +197,9 @@ class TestOracleAgreement:
                 schedule.qubit_timeline(qa), schedule.qubit_timeline(qb),
                 spans, error_model, jspec,
             )
-            symbolic_ok = verify_circuit(lowered.circuit) == []
-            assert symbolic_ok == _oracle_agrees(lowered.circuit)
-            assert symbolic_ok  # and both say: deterministic
+            proven = verify_circuit(lowered.circuit) == []
+            assert proven == _oracle_agrees(lowered.circuit)
+            assert proven  # and both say: deterministic
             # the certify entry point agrees too, oracle included
             certify_joint_deterministic(lowered, oracle=True)
 
@@ -202,9 +209,9 @@ class TestOracleAgreement:
         spec = LoweringSpec(distance=3, embedding=machine.embedding, basis="Z")
         for qubit in sorted(schedule.residences):
             lowered = lower_timeline(schedule.qubit_timeline(qubit), error_model, spec)
-            symbolic_ok = verify_circuit(lowered.circuit) == []
-            assert symbolic_ok == _oracle_agrees(lowered.circuit)
-            assert symbolic_ok
+            proven = verify_circuit(lowered.circuit) == []
+            assert proven == _oracle_agrees(lowered.circuit)
+            assert proven
 
     def test_broken_circuit_rejected_by_both(self, error_model):
         memory = baseline_memory_circuit(3, error_model)
@@ -229,6 +236,132 @@ class TestOracleAgreement:
         )
         assert result.pieces is not None
         assert any(len(piece.qubits) == 2 for piece in result.pieces)
+
+
+# ----------------------------------------------------------------------
+# Code-for-code agreement on a mutant corpus
+# ----------------------------------------------------------------------
+#: Tableau runs per oracle verdict.  A random detector looks constant
+#: over all of them with probability 2**(1 - len(ORACLE_SEEDS)).
+ORACLE_SEEDS = tuple(range(16))
+STRAY_GATES = ("X", "Y", "Z", "H", "S", "S_DAG")
+
+
+def _corpus_circuits(error_model):
+    """Every memory scheme at d=3 in both bases, plus the campaign's d=3
+    single and joint lowerings for both embeddings."""
+    for scheme in sorted(SCHEMES):
+        for basis in ("Z", "X"):
+            yield build_memory_circuit(scheme, 3, error_model, basis=basis).circuit
+    for embedding in ("natural", "compact"):
+        machine = Machine(stack_grid=(2, 2), cavity_modes=10, distance=3,
+                          embedding=embedding)
+        schedule = compile_program(
+            LogicalProgram.bell_pairs(4), machine, policy="surgery_only"
+        )
+        spec = LoweringSpec(distance=3, embedding=embedding, basis="Z")
+        qubit = sorted(schedule.residences)[0]
+        yield lower_timeline(schedule.qubit_timeline(qubit), error_model, spec).circuit
+        jspec = JointLoweringSpec(distance=3, embedding=embedding, basis="Z")
+        (qa, qb), spans = partition_surgery(schedule).pairs[0]
+        yield lower_joint_timelines(
+            schedule.qubit_timeline(qa), schedule.qubit_timeline(qb),
+            spans, error_model, jspec,
+        ).circuit
+
+
+def _rebuilt(circuit, instructions):
+    """``circuit``'s detectors and observables over new instructions."""
+    out = Circuit(circuit.num_qubits)
+    for ins in instructions:
+        out.append(ins.name, ins.targets, ins.args)
+    out.detectors = list(circuit.detectors)
+    out.observables = list(circuit.observables)
+    return out
+
+
+def _mutants(k, circuit):
+    """The noiseless circuit, its first reset deleted, one other
+    non-measurement instruction deleted and one stray gate inserted."""
+    clean = circuit.without_noise()
+    ins = clean.instructions
+    yield clean
+    first_reset = next(i for i, x in enumerate(ins) if x.name == "R")
+    yield _rebuilt(clean, ins[:first_reset] + ins[first_reset + 1:])
+    others = [i for i, x in enumerate(ins)
+              if x.kind is not GateKind.MEASURE and i != first_reset]
+    i = others[(7 * k + 3) % len(others)]
+    yield _rebuilt(clean, ins[:i] + ins[i + 1:])
+    j = (5 * k + 2) % len(ins)
+    stray = Instruction(STRAY_GATES[k % len(STRAY_GATES)], (ins[j].targets[0],))
+    yield _rebuilt(clean, ins[:j] + [stray] + ins[j:])
+
+
+def _oracle_codes(circuit):
+    """Per strict_init mode, the tableau oracle's code for every
+    detector/observable that is not deterministically 0.
+
+    Plain runs vary the measurement seed: a bit that changes is SYM001,
+    one that is always 1 is SYM002.  Strict runs also start from a random
+    computational-basis state (seeded X flips): a bit that only changes
+    then is SYM003.
+    """
+    base = circuit.num_detectors
+    offset = {"detector": 0, "observable": base}
+
+    def fired(c, seeds):
+        out = {seed: set() for seed in seeds}
+        for seed, kind, index in oracle_firings(c, seeds):
+            out[seed].add(offset[kind] + index)
+        return [out[seed] for seed in seeds]
+
+    plain = fired(circuit, ORACLE_SEEDS)
+    strict = []
+    for seed in ORACLE_SEEDS:
+        rng = random.Random(seed)
+        flips = tuple(q for q in range(circuit.num_qubits) if rng.random() < 0.5)
+        flipped = copy.copy(circuit)
+        if flips:
+            flipped.instructions = [Instruction("X", flips)] + circuit.instructions
+        strict += fired(flipped, (seed,))
+    codes = {False: {}, True: {}}
+    for bit in range(base + circuit.num_observables):
+        values = {bit in run for run in plain}
+        for strict_init in (False, True):
+            if len(values) > 1:
+                codes[strict_init][bit] = "SYM001"
+            elif strict_init and values != {bit in run for run in strict}:
+                codes[strict_init][bit] = "SYM003"
+            elif values == {True}:
+                codes[strict_init][bit] = "SYM002"
+    return codes
+
+
+def _sweep_codes(circuit, strict_init):
+    """The proof's code per failing bit, read back from the locations."""
+    locations = [f"circuit:detector[{i}]@{det.coord}"
+                 for i, det in enumerate(circuit.detectors)]
+    locations += [f"circuit:observable[{obs.name}]" for obs in circuit.observables]
+    return {
+        locations.index(f.location): f.code
+        for f in verify_circuit(circuit, strict_init=strict_init)
+    }
+
+
+class TestCorpusAgreement:
+    def test_codes_match_tableau_oracle(self, error_model):
+        seen = set()
+        cases = 0
+        for k, circuit in enumerate(_corpus_circuits(error_model)):
+            for mutant in _mutants(k, circuit):
+                oracle = _oracle_codes(mutant)
+                for strict_init in (False, True):
+                    cases += 1
+                    swept = _sweep_codes(mutant, strict_init)
+                    assert swept == oracle[strict_init], (k, strict_init)
+                    seen |= set(swept.values())
+        assert cases == 14 * 4 * 2
+        assert seen == {"SYM001", "SYM002", "SYM003"}
 
 
 # ----------------------------------------------------------------------

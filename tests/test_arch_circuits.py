@@ -7,15 +7,15 @@ simulator, across random measurement-outcome seeds.
 
 import pytest
 
+from repro.analyze import oracle_firings, verify_circuit
 from repro.arch import (
     DEFAULT_SPEC,
     ScheduleConflictError,
     compact_memory_circuit,
     natural_memory_circuit,
 )
-from repro.arch.compact import CompactScheduleSpec
+from repro.arch.compact import CompactScheduleSpec, _spec_is_valid, find_schedule_spec
 from repro.noise import BASELINE_HARDWARE, MEMORY_HARDWARE, ErrorModel
-from repro.stabilizer import TableauSimulator
 
 
 def noiseless():
@@ -23,20 +23,8 @@ def noiseless():
 
 
 def assert_deterministic(memory, seeds=range(4)):
-    clean = memory.circuit.without_noise()
-    for seed in seeds:
-        sim = TableauSimulator(clean.num_qubits, seed=seed)
-        record = sim.run(clean)
-        for det in clean.detectors:
-            value = 0
-            for m in det.measurements:
-                value ^= record[m]
-            assert value == 0, f"detector {det.coord} fired without noise"
-        for obs in clean.observables:
-            value = 0
-            for m in obs.measurements:
-                value ^= record[m]
-            assert value == 0
+    fired = oracle_firings(memory.circuit, seeds)
+    assert fired == [], f"fired without noise (seed, kind, index): {fired}"
 
 
 @pytest.mark.parametrize("schedule", ["all_at_once", "interleaved"])
@@ -54,6 +42,25 @@ def test_compact_d5_exact(schedule):
     assert_deterministic(
         compact_memory_circuit(5, noiseless(), schedule=schedule), seeds=range(2)
     )
+
+
+class TestScheduleSpec:
+    def test_default_spec_is_valid_and_rederived(self):
+        assert _spec_is_valid(DEFAULT_SPEC, 5, noiseless())
+        assert find_schedule_spec() == DEFAULT_SPEC
+
+    def test_rejected_candidate_fails_the_proof(self):
+        # Z checks visiting their corners in the X checks' order: the
+        # schedule builds, but the checks no longer commute mid-round.
+        spec = CompactScheduleSpec(
+            ab_basis=DEFAULT_SPEC.ab_basis,
+            split_axis=DEFAULT_SPEC.split_axis,
+            polarity=DEFAULT_SPEC.polarity,
+            orders={"X": DEFAULT_SPEC.orders["X"], "Z": DEFAULT_SPEC.orders["X"]},
+        )
+        memory = compact_memory_circuit(3, noiseless(), rounds=2, spec=spec)
+        assert {f.code for f in verify_circuit(memory.circuit)} == {"SYM001"}
+        assert not _spec_is_valid(spec, 5, noiseless())
 
 
 class TestStructure:

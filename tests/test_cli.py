@@ -92,7 +92,7 @@ class TestCLI:
         assert "Independent vs joint" in out
         assert "joint q0,q1" in out
         assert "joint-lowering cache:" in out
-        assert "proven deterministic by symbolic GF(2) propagation" in out
+        assert "proven deterministic by the backward sweep" in out
         assert "tier accounting balances" in out
 
     def test_compare_correlated_respects_explicit_policy(self, capsys):

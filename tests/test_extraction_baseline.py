@@ -9,8 +9,8 @@ wrong observable definitions.
 
 import pytest
 
+from repro.analyze import oracle_firings
 from repro.noise import BASELINE_HARDWARE, ErrorModel
-from repro.stabilizer import TableauSimulator
 from repro.surface_code import baseline_memory_circuit
 from repro.surface_code.extraction import standard_round_duration
 
@@ -20,22 +20,8 @@ def noiseless_model():
 
 
 def assert_detectors_deterministic(memory, seeds=range(8)):
-    clean = memory.circuit.without_noise()
-    observed = set()
-    for seed in seeds:
-        sim = TableauSimulator(clean.num_qubits, seed=seed)
-        record = sim.run(clean)
-        for det in clean.detectors:
-            value = 0
-            for m in det.measurements:
-                value ^= record[m]
-            assert value == 0, f"detector {det.coord} fired without noise"
-        for obs in clean.observables:
-            value = 0
-            for m in obs.measurements:
-                value ^= record[m]
-            observed.add(value)
-    assert observed == {0}, "logical observable not deterministic"
+    fired = oracle_firings(memory.circuit, seeds)
+    assert fired == [], f"fired without noise (seed, kind, index): {fired}"
 
 
 @pytest.mark.parametrize("distance", [2, 3, 5])

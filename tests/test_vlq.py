@@ -130,26 +130,14 @@ class TestLowering:
         """Detectors and observable must be deterministic without noise —
         the exact-simulator certificate that rounds, refreshes, idles and
         readout compose into a valid memory experiment."""
-        from repro.stabilizer import TableauSimulator
+        from repro.analyze import oracle_firings
 
         schedule = compile_program(_clustered_program(), _machine(grid=(1, 1), modes=6))
         spec = LoweringSpec(distance=3, embedding=embedding, basis=basis)
         model = ErrorModel(hardware=MEMORY_HARDWARE, p=0.0, scale_coherence=False)
         for q in (0, 2):  # an operand and the refresh-serviced bystander
             memory = lower_timeline(schedule.qubit_timeline(q), model, spec)
-            clean = memory.circuit.without_noise()
-            for seed in range(2):
-                record = TableauSimulator(clean.num_qubits, seed=seed).run(clean)
-                for det in clean.detectors:
-                    value = 0
-                    for m in det.measurements:
-                        value ^= record[m]
-                    assert value == 0, (q, det.coord)
-                for obs in clean.observables:
-                    value = 0
-                    for m in obs.measurements:
-                        value ^= record[m]
-                    assert value == 0, q
+            assert oracle_firings(memory.circuit) == [], q
 
     def test_refresh_rounds_lower_into_circuit(self):
         schedule = compile_program(_clustered_program(), _machine(grid=(1, 1), modes=6))
